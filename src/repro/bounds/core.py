@@ -52,8 +52,11 @@ be failed by work it provably did not do.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "BOUND_KINDS",
@@ -176,21 +179,18 @@ def _resolved(topology, fault_model):
     return resolve_faults(fault_model, topology)
 
 
-def _moving(demands: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(int(s), int(d)) for s, d in demands if int(s) != int(d)]
-
-
-def _distances(topology, demands, resolved) -> list[int]:
-    """Per-packet hop distances, on the surviving graph under structural
-    faults.  Raises :class:`~repro.faults.UnroutableError` when a demand's
+def _distances(topology, src, dst, resolved) -> np.ndarray:
+    """Per-packet hop distances (grouped by destination under structural
+    faults, where they come from the surviving graph's BFS tables).
+    Raises :class:`~repro.faults.UnroutableError` when a demand's
     endpoints are disconnected (its bound would be infinite)."""
     from ..faults.model import UnroutableError
 
     if resolved is None or not resolved.structural:
-        return [int(topology.distance(s, d)) for s, d in demands]
+        return topology.distance_array(src, dst)
     graph = resolved.surviving_graph(topology)
     by_dest: dict[int, list[int]] = {}
-    for s, d in demands:
+    for s, d in zip(src.tolist(), dst.tolist()):
         by_dest.setdefault(d, []).append(s)
     out: list[int] = []
     for d, sources in by_dest.items():
@@ -202,8 +202,8 @@ def _distances(topology, demands, resolved) -> list[int]:
                     f"no surviving path from {s} to {d}: the step lower "
                     "bound is infinite"
                 )
-            out.append(int(hops))
-    return out
+            out.append(hops)
+    return np.array(out, dtype=np.int64)
 
 
 def _is_hypergraph(topology) -> bool:
@@ -224,74 +224,67 @@ def _alive_net_members(topology, resolved):
         yield net_id, members
 
 
-def _cut_capacity(topology, resolved) -> int:
-    """Packets the index-halving cut passes per step, per direction."""
+@dataclass(frozen=True)
+class _Capacities:
+    """The topology-only inputs of the floors for one (topology, faults)
+    pair."""
+
+    #: Packets the index-halving cut passes per step, per direction.
+    cut: int
+    #: Per-node incident channel count (send = receive capacity per step).
+    channels: np.ndarray
+    #: Machine-wide channel traversals possible in one step.
+    total: int
+
+
+#: :class:`_Capacities` memo, keyed weakly by the object they derive from:
+#: the topology when no structural fault applies, else the
+#: :class:`~repro.networks.degraded.SurvivingGraph` the resolved fault set
+#: caches for that topology — so every stage of a program, and every
+#: certification against one fault resolution, pays for them once.
+_CAPACITIES: "weakref.WeakKeyDictionary[Any, _Capacities]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _capacities(topology, resolved) -> _Capacities:
+    """The memoized :class:`_Capacities` of ``topology`` under ``resolved``
+    (no structural fault: the fault-free machine's)."""
+    if resolved is None or not resolved.structural:
+        resolved, owner = None, topology
+    else:
+        owner = resolved.surviving_graph(topology)
+    caps = _CAPACITIES.get(owner)
+    if caps is None:
+        caps = _CAPACITIES[owner] = _compute_capacities(topology, resolved)
+    return caps
+
+
+def _compute_capacities(topology, resolved) -> _Capacities:
+    """One walk over the (surviving) nets or neighbour lists."""
     n = topology.num_nodes
     half = n // 2
     if _is_hypergraph(topology):
-        cap = 0
+        cut = total = 0
+        channels = np.zeros(n, dtype=np.int64)
         for net_id, members in _alive_net_members(topology, resolved):
+            degraded = resolved is not None and net_id in resolved.degraded_nets
             left = sum(1 for m in members if m < half)
             ports = min(left, len(members) - left)
-            if ports and resolved is not None and net_id in resolved.degraded_nets:
-                ports = 1  # serialized: one packet per step on the whole net
-            cap += ports
-        return cap
-    cap = 0
-    for u, v in topology.links():
-        if (u < half) == (v < half):
-            continue
-        if resolved is not None and (
-            resolved.link_down(u, v)
-            or u in resolved.down_nodes
-            or v in resolved.down_nodes
-        ):
-            continue
-        cap += 1
-    return cap
-
-
-def _node_channels(topology, resolved) -> list[int]:
-    """Per-node incident channel count (send = receive capacity per step)."""
-    n = topology.num_nodes
-    if resolved is not None and resolved.structural:
-        adjacency = resolved.surviving_graph(topology).adjacency
-        if _is_hypergraph(topology):
-            channels = [0] * n
-            for _net_id, members in _alive_net_members(topology, resolved):
-                if len(members) > 1:
-                    for m in members:
-                        channels[m] += 1
-            return channels
-        return [len(adjacency[v]) for v in range(n)]
-    if _is_hypergraph(topology):
-        return [len(topology.nets_of(v)) for v in range(n)]
-    return [len(topology.neighbors(v)) for v in range(n)]
-
-
-def _total_capacity(topology, resolved) -> int:
-    """Machine-wide channel traversals possible in one step."""
-    if _is_hypergraph(topology):
-        total = 0
-        for net_id, members in _alive_net_members(topology, resolved):
-            if len(members) < 2:
-                continue
-            if resolved is not None and net_id in resolved.degraded_nets:
-                total += 1
-            else:
-                total += len(members)  # a rotation moves |net| packets
-        return total
-    if resolved is not None and resolved.structural:
-        adjacency = resolved.surviving_graph(topology).adjacency
-        return sum(len(row) for row in adjacency)  # directed slots
-    return 2 * topology.num_links()
-
-
-def _drop_topk(values: Sequence[int], k: int) -> list[int]:
-    """Discount the ``k`` largest entries (adversarially dropped packets)."""
-    if k <= 0:
-        return list(values)
-    return sorted(values)[: max(0, len(values) - k)]
+            # A degraded net is serialized: one packet per step on the net.
+            cut += 1 if ports and degraded else ports
+            if len(members) > 1:
+                channels[list(members)] += 1
+                total += 1 if degraded else len(members)  # a rotation moves |net|
+        return _Capacities(cut=cut, channels=channels, total=total)
+    if resolved is None:
+        neighbours = [topology.neighbors(v) for v in range(n)]
+    else:
+        neighbours = resolved.surviving_graph(topology).adjacency
+    channels = np.fromiter(map(len, neighbours), dtype=np.int64, count=n)
+    # Each crossing link counted once, from its endpoint below the cut.
+    cut = sum(1 for u in range(half) for v in neighbours[u] if v >= half)
+    return _Capacities(cut=cut, channels=channels, total=int(channels.sum()))
 
 
 def step_lower_bound(
@@ -308,63 +301,65 @@ def step_lower_bound(
     value and inputs.  ``dropped`` adversarially discounts that many
     packets (see module docstring); a demand whose endpoints are
     disconnected under ``fault_model`` raises
-    :class:`~repro.faults.UnroutableError`.
+    :class:`~repro.faults.UnroutableError`, and an endpoint that is not a
+    node of ``topology`` raises ``ValueError``
+    (:meth:`~repro.networks.base.Topology.validate_demands`).
     """
     from ..faults.model import UnroutableError
 
     resolved = _resolved(topology, fault_model)
-    moving = _moving(demands)
+    pairs = topology.validate_demands(list(demands))
+    moving = pairs[pairs[:, 0] != pairs[:, 1]]
+    src, dst = moving[:, 0], moving[:, 1]
+    m = len(moving)
     k = max(0, int(dropped))
     witness: dict[str, Any] = {
-        "packets": len(moving),
+        "packets": m,
         "dropped": k,
         "faulted": resolved is not None and resolved.structural,
     }
-    if not moving or k >= len(moving):
+    if not m or k >= m:
         witness |= {"kinds": {b.name: 0 for b in BOUND_KINDS}, "binding": "trivial"}
         return 0, witness
 
-    dists = _distances(topology, moving, resolved)
-    surviving = _drop_topk(dists, k)
+    dists = _distances(topology, src, dst, resolved)
+    # Discount the k largest distances (adversarially dropped packets).
+    surviving = np.sort(dists)[: m - k] if k else dists
 
     # distance: the (k+1)-th largest distance must still be covered.
-    distance_bound = max(surviving) if surviving else 0
+    distance_bound = int(surviving.max())
 
     # bisection: directional crossing demand over the cut capacity.
     half = topology.num_nodes // 2
-    crossing_lr = sum(1 for s, d in moving if s < half <= d)
-    crossing_rl = sum(1 for s, d in moving if d < half <= s)
+    crossing_lr = int(np.count_nonzero((src < half) & (dst >= half)))
+    crossing_rl = int(np.count_nonzero((dst < half) & (src >= half)))
     crossing = max(0, max(crossing_lr, crossing_rl) - k)
-    cut_cap = _cut_capacity(topology, resolved)
-    if crossing and not cut_cap:
+    caps = _capacities(topology, resolved)
+    if crossing and not caps.cut:
         raise UnroutableError(
             "demands cross the halving cut but no surviving channel does"
         )
-    bisection_bound = math.ceil(crossing / cut_cap) if crossing else 0
+    bisection_bound = math.ceil(crossing / caps.cut) if crossing else 0
 
     # ports: the BSP h-relation floor at the most loaded endpoint.
-    channels = _node_channels(topology, resolved)
-    out_load: dict[int, int] = {}
-    in_load: dict[int, int] = {}
-    for s, d in moving:
-        out_load[s] = out_load.get(s, 0) + 1
-        in_load[d] = in_load.get(d, 0) + 1
     ports_bound = 0
     max_h = 0
-    for load in (out_load, in_load):
-        for node, h in load.items():
-            h = max(0, h - k)
-            if not h:
-                continue
-            max_h = max(max_h, h)
-            # channels[node] > 0: a channel-less endpoint would have been
-            # caught as disconnected by the distance pass above.
-            ports_bound = max(ports_bound, math.ceil(h / channels[node]))
+    for ends in (src, dst):
+        load = np.bincount(ends, minlength=topology.num_nodes) - k
+        busy = np.flatnonzero(load > 0)
+        if not busy.size:
+            continue
+        h = load[busy]
+        max_h = max(max_h, int(h.max()))
+        # channels > 0 at every busy node: a channel-less endpoint would
+        # have been caught as disconnected by the distance pass above.
+        ports_bound = max(
+            ports_bound, int((-(-h // caps.channels[busy])).max())
+        )
 
     # work: total traversals over machine-wide per-step slot capacity.
-    total_cap = _total_capacity(topology, resolved)
-    total_distance = sum(surviving)
-    work_bound = math.ceil(total_distance / total_cap) if total_distance else 0
+    total_distance = int(surviving.sum())
+    work_bound = math.ceil(total_distance / caps.total) if total_distance else 0
 
     kinds = {
         "bisection": bisection_bound,
@@ -377,10 +372,10 @@ def step_lower_bound(
         "kinds": kinds,
         "binding": binding,
         "cut_demand": max(crossing_lr, crossing_rl),
-        "cut_capacity": cut_cap,
+        "cut_capacity": caps.cut,
         "max_distance": distance_bound,
         "total_distance": total_distance,
-        "total_capacity": total_cap,
+        "total_capacity": caps.total,
         "max_h": max_h,
     }
     return kinds[binding], witness

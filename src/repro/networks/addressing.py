@@ -19,7 +19,7 @@ Conventions
   "embed the flow graph onto the mesh in row-major order".
 * All functions are pure and operate on Python ints (arbitrary precision),
   with NumPy vectorized counterparts where bulk operation matters
-  (``bit_reverse_array``).
+  (``bit_reverse_array``, ``to_mixed_radix_array``).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "gray_code",
     "gray_decode",
     "to_mixed_radix",
+    "to_mixed_radix_array",
     "from_mixed_radix",
     "digit",
     "with_digit",
@@ -187,6 +188,18 @@ def to_mixed_radix(value: int, radices: Sequence[int]) -> tuple[int, ...]:
         digits.append(value % r)
         value //= r
     return tuple(reversed(digits))
+
+
+def to_mixed_radix_array(values, radices: Sequence[int]) -> np.ndarray:
+    """Vectorized :func:`to_mixed_radix`: a ``(len(radices), len(values))``
+    int64 array whose row ``d`` holds digit ``d`` (MSD first) of every
+    value.  No range check — callers pass in-range values."""
+    values = np.asarray(values, dtype=np.int64)
+    strides = np.ones(len(radices), dtype=np.int64)
+    for d in range(len(radices) - 2, -1, -1):
+        strides[d] = strides[d + 1] * radices[d + 1]
+    radix = np.asarray(radices, dtype=np.int64).reshape(-1, 1)
+    return (values // strides.reshape(-1, 1)) % radix
 
 
 def from_mixed_radix(digits: Sequence[int], radices: Sequence[int]) -> int:

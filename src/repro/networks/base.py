@@ -23,6 +23,8 @@ import enum
 from abc import ABC, abstractmethod
 from typing import Iterator, Sequence
 
+import numpy as np
+
 __all__ = ["ChannelModel", "Topology", "PointToPointTopology", "HypergraphTopology"]
 
 
@@ -70,6 +72,20 @@ class Topology(ABC):
     def distance(self, node_a: int, node_b: int) -> int:
         """Graph distance in data-transfer steps (closed form)."""
 
+    def distance_array(self, sources, dests) -> np.ndarray:
+        """Vectorized :meth:`distance` over parallel node arrays (int64).
+
+        The generic form calls :meth:`distance` per pair; the concrete
+        families override it with coordinate arithmetic.  Callers must have
+        bounds-checked the nodes (see :meth:`validate_demands`): the batch
+        API does no per-element validation.
+        """
+        return np.fromiter(
+            (self.distance(int(s), int(d)) for s, d in zip(sources, dests)),
+            dtype=np.int64,
+            count=len(sources),
+        )
+
     @property
     @abstractmethod
     def diameter(self) -> int:
@@ -104,6 +120,38 @@ class Topology(ABC):
         if not 0 <= node < self._num_nodes:
             raise ValueError(f"node {node} out of range [0, {self._num_nodes})")
         return node
+
+    def validate_demands(self, demands: Sequence[tuple[int, int]]) -> np.ndarray:
+        """Bounds-check every demand endpoint; return the ``(m, 2)`` int64
+        array of ``(source, destination)`` rows.
+
+        One vectorized comparison covers the whole demand set; on failure
+        the first offending endpoint *in original order* (source before
+        destination, pair by pair) is handed to :meth:`validate_node`, so
+        the error type and message are the scalar check's.  Inputs that do
+        not pack into an integer array are checked pair by pair, and an
+        endpoint that is not an integer (``0.5``) is rejected by name:
+        the range check alone would accept it.
+        """
+        try:
+            arr = np.asarray(demands)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+            for src, dst in demands:
+                for node in (src, dst):
+                    if not isinstance(node, (int, np.integer)):
+                        raise ValueError(
+                            f"demand endpoint {node!r} is not an integer node id"
+                        )
+                self.validate_node(src)
+                self.validate_node(dst)
+            return np.array(demands, dtype=np.int64).reshape(-1, 2)
+        flat = arr.reshape(-1)  # row-major: src0, dst0, src1, dst1, ...
+        bad = (flat < 0) | (flat >= self._num_nodes)
+        if bad.any():
+            self.validate_node(int(flat[int(np.argmax(bad))]))
+        return arr.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return self._num_nodes

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from .addressing import flip_bit, hamming_distance, ilog2
 from .base import PointToPointTopology
 
@@ -71,6 +73,16 @@ class Hypercube(PointToPointTopology):
         self.validate_node(node_a)
         self.validate_node(node_b)
         return hamming_distance(node_a, node_b)
+
+    def distance_array(self, sources, dests) -> np.ndarray:
+        """Vectorized Hamming distance over parallel node arrays."""
+        diff = np.asarray(sources, dtype=np.int64) ^ np.asarray(
+            dests, dtype=np.int64
+        )
+        total = np.zeros_like(diff)
+        for d in range(self._dimension):
+            total += (diff >> d) & 1
+        return total
 
     @property
     def diameter(self) -> int:

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .addressing import to_mixed_radix, with_digit
+import numpy as np
+
+from .addressing import to_mixed_radix, to_mixed_radix_array, with_digit
 from .base import HypergraphTopology
 
 __all__ = ["Hypermesh", "Hypermesh2D", "degree_log_hypermesh_shape"]
@@ -111,6 +113,12 @@ class Hypermesh(HypergraphTopology):
         ca = self.coordinates(node_a)
         cb = self.coordinates(node_b)
         return sum(1 for x, y in zip(ca, cb) if x != y)
+
+    def distance_array(self, sources, dests) -> np.ndarray:
+        """Vectorized differing-digit count over parallel node arrays."""
+        da = to_mixed_radix_array(sources, self._radices)
+        db = to_mixed_radix_array(dests, self._radices)
+        return (da != db).sum(axis=0)
 
     @property
     def diameter(self) -> int:
@@ -199,8 +207,6 @@ class Hypermesh(HypergraphTopology):
         bounds-checked the nodes (the batch API does no per-element
         validation).
         """
-        import numpy as np
-
         a = np.asarray(nodes_a, dtype=np.int64)
         b = np.asarray(nodes_b, dtype=np.int64)
         base = self._base

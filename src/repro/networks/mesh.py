@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .addressing import from_mixed_radix, to_mixed_radix
+import numpy as np
+
+from .addressing import from_mixed_radix, to_mixed_radix, to_mixed_radix_array
 from .base import PointToPointTopology
 
 __all__ = ["Mesh", "Mesh2D"]
@@ -90,6 +92,12 @@ class Mesh(PointToPointTopology):
         ca = self.coordinates(node_a)
         cb = self.coordinates(node_b)
         return sum(abs(x - y) for x, y in zip(ca, cb))
+
+    def distance_array(self, sources, dests) -> np.ndarray:
+        """Vectorized Manhattan distance over parallel node arrays."""
+        da = to_mixed_radix_array(sources, self._radices)
+        db = to_mixed_radix_array(dests, self._radices)
+        return np.abs(da - db).sum(axis=0)
 
     @property
     def diameter(self) -> int:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .addressing import from_mixed_radix, to_mixed_radix
+import numpy as np
+
+from .addressing import from_mixed_radix, to_mixed_radix, to_mixed_radix_array
 from .base import PointToPointTopology
 
 __all__ = ["Torus", "Torus2D"]
@@ -94,6 +96,14 @@ class Torus(PointToPointTopology):
             d = abs(x - y)
             total += min(d, extent - d)
         return total
+
+    def distance_array(self, sources, dests) -> np.ndarray:
+        """Vectorized ring-aware distance over parallel node arrays."""
+        da = to_mixed_radix_array(sources, self._radices)
+        db = to_mixed_radix_array(dests, self._radices)
+        d = np.abs(da - db)
+        extent = np.asarray(self._radices, dtype=np.int64).reshape(-1, 1)
+        return np.minimum(d, extent - d).sum(axis=0)
 
     @property
     def diameter(self) -> int:

@@ -795,45 +795,6 @@ def route_permutation(
     return RoutedPermutation(schedule=schedule, stats=stats)
 
 
-def _validate_demand_nodes(
-    topology: Topology, demands: Sequence[tuple[int, int]]
-) -> None:
-    """Bounds-check every demand endpoint in one vectorized pass.
-
-    Replaces the per-endpoint ``validate_node`` loop (two Python calls per
-    packet) with a single NumPy comparison; on failure the first offending
-    endpoint *in original order* (source before destination, pair by pair)
-    is handed back to :meth:`~repro.networks.base.Topology.validate_node`
-    so the error type and message stay exactly the seed's.  Inputs that do
-    not pack into an integer array (exotic endpoint types) fall back to the
-    original loop unchanged.
-    """
-    if not demands:
-        return
-    try:
-        arr = np.asarray(demands)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
-        for src, dst in demands:
-            for node in (src, dst):
-                # validate_node's range check would accept an in-range
-                # float (0 <= 0.5 < n), which then explodes as a list
-                # index deep in the arbitration loop — reject it here
-                # with a message that names the actual problem.
-                if not isinstance(node, (int, np.integer)):
-                    raise ValueError(
-                        f"demand endpoint {node!r} is not an integer node id"
-                    )
-            topology.validate_node(src)
-            topology.validate_node(dst)
-        return
-    flat = arr.reshape(-1)  # row-major: src0, dst0, src1, dst1, ...
-    bad = (flat < 0) | (flat >= topology.num_nodes)
-    if bad.any():
-        topology.validate_node(int(flat[int(np.argmax(bad))]))
-
-
 def route_demands(
     topology: Topology,
     demands: Sequence[tuple[int, int]],
@@ -863,7 +824,7 @@ def route_demands(
     """
     n = topology.num_nodes
     demands = list(demands)
-    _validate_demand_nodes(topology, demands)
+    topology.validate_demands(demands)
     router = router or router_for(topology)
     if max_steps is None:
         out = [0] * n

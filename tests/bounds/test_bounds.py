@@ -2,13 +2,17 @@
 
 Hand-computed floors on machines small enough to check by eye, the
 certificate/violation contract, fault tightening and drop discounting,
-staged (superstep-sum) certification — and the acceptance-criterion
+staged (superstep-sum) certification, named errors for bad demand
+endpoints, the per-topology capacity memo — and the acceptance-criterion
 fixture: a deliberately perturbed bound must fail the certification gate
-end to end (``run_routing_task`` and the ``repro certify`` CLI alike).
+end to end (routed and staged tasks, and the ``repro certify`` CLI alike).
 """
+
+import gc
 
 import pytest
 
+from repro.algos.hypersystolic import run_commavoiding_task
 from repro.bounds import (
     BOUND_KINDS,
     BoundViolation,
@@ -20,13 +24,22 @@ from repro.bounds import (
     program_stage_demands,
     step_lower_bound,
 )
+from repro.bounds import core
 from repro.cli import main
 from repro.faults import FaultModel, UnroutableError
-from repro.networks import Hypercube, Hypermesh2D, Mesh2D
+from repro.fft.ape import run_ape_fft_task
+from repro.networks import Hypercube, Hypermesh2D, Mesh, Mesh2D, Torus2D
 from repro.routing import Permutation, bit_reversal
-from repro.sim.engine import route_permutation
+from repro.sim.engine import route_demands, route_permutation
 from repro.sim.machine import Compute, Permute
 from repro.sim.task import run_routing_task
+
+FAMILIES = {
+    "mesh2d": lambda: Mesh2D(4),
+    "torus2d": lambda: Torus2D(4),
+    "hypercube": lambda: Hypercube(4),
+    "hypermesh2d": lambda: Hypermesh2D(4),
+}
 
 
 class TestCertificate:
@@ -133,6 +146,86 @@ class TestFaultAwareness:
         assert step_lower_bound(topo, [(0, 3)], dropped=9)[0] == 0
 
 
+class TestBadEndpoints:
+    """An endpoint that is not a node id is a named ``ValueError`` — the
+    same one the routing engine raises — never a truncated or wrapped
+    node the floor is then computed for."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("bad", [-1, 16, 0.5])
+    def test_bounds_and_engine_raise_the_same_error(self, family, bad):
+        topo = FAMILIES[family]()
+        demands = [(0, 3), (bad, 3)]
+        with pytest.raises(ValueError) as from_engine:
+            route_demands(topo, demands)
+        with pytest.raises(ValueError) as from_bounds:
+            step_lower_bound(topo, demands)
+        assert str(from_bounds.value) == str(from_engine.value)
+        assert repr(bad) in str(from_bounds.value)
+        with pytest.raises(ValueError):
+            certify_stages(topo, [[(0, 1)], [(3, bad)]], 10**6)
+
+    def test_first_bad_endpoint_in_demand_order_is_named(self):
+        topo = Mesh2D(4)
+        with pytest.raises(ValueError, match="node 17 out of range"):
+            step_lower_bound(topo, [(0, 1), (2, 17), (-1, 3)])
+
+
+class TestCapacityMemo:
+    """Topology-only capacities are memoized per topology (or per fault
+    resolution); the memo must never hand one machine another's numbers."""
+
+    HOTSPOT = [(0, 3), (1, 3), (2, 3)]
+
+    def test_fault_free_then_link_kill_still_tightens(self):
+        topo = Mesh2D(2)
+        kill = FaultModel(seed=1, link_failures=((1, 3),))
+        assert step_lower_bound(topo, self.HOTSPOT)[0] == 2
+        bound, witness = step_lower_bound(
+            topo, self.HOTSPOT, fault_model=kill
+        )
+        # Node 3 keeps one channel, the machine three links (6 slots).
+        assert bound == 3 and witness["kinds"]["ports"] == 3
+        assert witness["total_capacity"] == 6
+        # ...and the faulted entry does not leak back into fault-free runs.
+        bound, witness = step_lower_bound(topo, self.HOTSPOT)
+        assert bound == 2 and witness["total_capacity"] == 8
+
+    def test_link_kill_then_fault_free_on_one_topology(self):
+        topo = Mesh2D(2)
+        kill = FaultModel(seed=1, link_failures=((1, 3),))
+        other = FaultModel(seed=1, link_failures=((2, 3),))
+        assert step_lower_bound(topo, self.HOTSPOT, fault_model=kill)[0] == 3
+        assert step_lower_bound(topo, self.HOTSPOT)[0] == 2
+        _, witness = step_lower_bound(topo, [(0, 3)], fault_model=other)
+        assert witness["total_capacity"] == 6  # 3 surviving links, 2 ways
+
+    def test_distinct_instances_of_one_size_do_not_share(self):
+        # Four N=16 machines (two of them of one class), certified
+        # interleaved: each keeps its own halving-cut capacity.
+        machines = {
+            Mesh((4, 4)): 4, Mesh((2, 8)): 8, Torus2D(4): 8, Hypercube(4): 8,
+        }
+        demands = [(i, i + 8) for i in range(8)]
+        for _ in range(2):
+            for topo, cut in machines.items():
+                _, witness = step_lower_bound(topo, demands)
+                assert witness["cut_capacity"] == cut
+        a, b = Mesh2D(4), Mesh2D(4)
+        step_lower_bound(a, demands)
+        step_lower_bound(b, demands)
+        assert core._CAPACITIES[a] is not core._CAPACITIES[b]
+
+    def test_entries_die_with_their_topology(self):
+        topo = Mesh2D(4)
+        step_lower_bound(topo, [(0, 15)])
+        gc.collect()  # settle entries of topologies earlier tests dropped
+        before = len(core._CAPACITIES)
+        del topo
+        gc.collect()
+        assert len(core._CAPACITIES) == before - 1
+
+
 class TestCertify:
     def test_certify_returns_a_holding_certificate(self):
         topo = Mesh2D(2)
@@ -217,10 +310,50 @@ class TestPerturbedBoundFailsTheGate:
             )
         assert exc.value.certificate.binding == "perturbed"
 
+    def test_certify_stages_raises(self, inflated_bound):
+        with pytest.raises(BoundViolation) as exc:
+            certify_stages(Mesh2D(2), [[(0, 3)], [(3, 0)]], 4)
+        cert = exc.value.certificate
+        assert cert.binding == "superstep-sum"
+        assert [s["binding"] for s in cert.witness["stages"]] == [
+            "perturbed", "perturbed"
+        ]
+
+    def test_certify_program_raises(self, inflated_bound):
+        topo = Hypercube(4)
+        schedule = route_permutation(topo, bit_reversal(16)).schedule
+        with pytest.raises(BoundViolation):
+            certify_program(topo, [Permute(schedule)], schedule.num_steps)
+
+    @pytest.mark.parametrize("method", ["systolic", "hyper-systolic"])
+    def test_commavoiding_task_raises(self, inflated_bound, method):
+        with pytest.raises(BoundViolation) as exc:
+            run_commavoiding_task(
+                {"topology": "mesh2d", "n": 16, "method": method, "seed": 99}
+            )
+        assert exc.value.certificate.binding == "superstep-sum"
+
+    def test_ape_fft_task_raises(self, inflated_bound):
+        with pytest.raises(BoundViolation):
+            run_ape_fft_task({"topology": "hypermesh2d", "n": 16, "seed": 99})
+
     def test_cli_certify_exits_1_with_violation(self, inflated_bound, capsys):
         rc = main(
             ["certify", "--topologies", "mesh2d", "--sizes", "16",
              "--workloads", "bit-reversal"]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "VIOLATION" in captured.out
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("workload", ["systolic", "hyper-systolic", "ape-fft"])
+    def test_cli_certify_staged_workload_exits_1(
+        self, inflated_bound, capsys, workload
+    ):
+        rc = main(
+            ["certify", "--topologies", "mesh2d", "--sizes", "16",
+             "--workloads", workload]
         )
         assert rc == 1
         captured = capsys.readouterr()

@@ -15,7 +15,11 @@ The soundness obligations, stated as hypothesis properties:
   smaller number;
 * **drop discounting is monotone** — certifying against more adversarial
   drops only ever weakens the floor, so a lossy run cannot be failed for
-  work it provably did not do.
+  work it provably did not do;
+* **equal to the per-packet loop** — the vectorized certifier returns
+  exactly the floors of a scalar reference (one ``distance`` call per
+  packet, capacities walked from ``links``/``nets``), faults and drops
+  included.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from hypothesis import strategies as st
 
 from repro.bounds import BoundViolation, certify, certify_schedule, step_lower_bound
 from repro.faults import FaultModel, UnroutableError
+from repro.faults.model import resolve_faults
+from repro.networks.base import HypergraphTopology
 from repro.networks import Hypercube, Hypermesh2D, Mesh2D, Torus2D
 from repro.routing import Permutation, bit_reversal
 from repro.routing.families import matrix_transpose
@@ -210,3 +216,99 @@ def test_violation_is_raised_below_the_floor(case):
         certify(topo, demands, bound - 1)
     assert exc.value.certificate.bound == bound
     assert not exc.value.certificate.holds
+
+
+def _reference_floor(topo, demands, model, k):
+    """The per-packet loop form of :func:`step_lower_bound`: ``(kinds,
+    capacities)``, or ``None`` where the floor is infinite."""
+    resolved = resolve_faults(model, topo) if model is not None else None
+    faulted = resolved is not None and resolved.structural
+    moving = [(s, d) for s, d in demands if s != d]
+    if not moving or k >= len(moving):
+        return {"bisection": 0, "distance": 0, "ports": 0, "work": 0}, {}
+    n, half = topo.num_nodes, topo.num_nodes // 2
+    if faulted:
+        graph = resolved.surviving_graph(topo)
+        dists = [graph.distances_list(d)[s] for s, d in moving]
+        if min(dists) < 0:
+            return None
+    else:
+        dists = [topo.distance(s, d) for s, d in moving]
+    if isinstance(topo, HypergraphTopology):
+        down = resolved.down_nodes if faulted else frozenset()
+        serial = resolved.degraded_nets if faulted else frozenset()
+        alive = [
+            (i, [m for m in net if m not in down])
+            for i, net in enumerate(topo.nets())
+            if not (faulted and resolved.net_down(i))
+        ]
+        cut = 0
+        for i, members in alive:
+            left = sum(1 for m in members if m < half)
+            ports = min(left, len(members) - left)
+            cut += 1 if ports and i in serial else ports
+        live = [(i, m) for i, m in alive if len(m) > 1]
+        channels = [sum(1 for _, m in live if v in m) for v in range(n)]
+        total = sum(1 if i in serial else len(m) for i, m in live)
+    else:
+        adjacency = (graph.adjacency if faulted
+                     else [topo.neighbors(v) for v in range(n)])
+        cut = sum(1 for u, v in topo.links()
+                  if (u < half) != (v < half) and v in adjacency[u])
+        channels = [len(adjacency[v]) for v in range(n)]
+        total = sum(channels)
+    crossing = max(sum(1 for s, d in moving if s < half <= d),
+                   sum(1 for s, d in moving if d < half <= s)) - k
+    if crossing > 0 and not cut:
+        return None
+    surviving = sorted(dists)[: len(dists) - k]
+    loads = [h - k for ends in zip(*moving)
+             for h in [ends.count(v) for v in range(n)]]
+    nodes = list(range(n)) * 2
+    kinds = {
+        "bisection": math.ceil(crossing / cut) if crossing > 0 else 0,
+        "distance": max(surviving),
+        "ports": max((math.ceil(h / channels[v])
+                      for h, v in zip(loads, nodes) if h > 0), default=0),
+        "work": math.ceil(sum(surviving) / total),
+    }
+    return kinds, {"cut_capacity": cut, "total_capacity": total,
+                   "max_h": max(max(loads), 0),
+                   "total_distance": sum(surviving)}
+
+
+@st.composite
+def fault_models(draw, topo):
+    """``None`` or a structural/transient fault model for ``topo``."""
+    kind = draw(st.sampled_from(["none", "drops", "structural"]))
+    if kind == "none":
+        return None
+    if kind == "drops":
+        return FaultModel(seed=1, drop_prob=0.2)
+    nodes = draw(st.lists(st.integers(0, topo.num_nodes - 1), max_size=1))
+    if isinstance(topo, HypergraphTopology):
+        # A net is either down or degraded, never both.
+        nets = draw(st.lists(st.integers(0, topo.num_nets() - 1),
+                             max_size=4, unique=True))
+        cut = draw(st.integers(0, len(nets)))
+        return FaultModel(seed=1, node_failures=nodes,
+                          net_failures=nets[:cut], degraded_nets=nets[cut:])
+    links = st.lists(st.sampled_from(sorted(topo.links())), max_size=4)
+    return FaultModel(seed=1, node_failures=nodes, link_failures=draw(links))
+
+
+@given(st.data(), topology_and_demands(), st.integers(0, 3))
+def test_floor_equals_the_per_packet_reference(data, case, k):
+    topo, demands = case
+    model = data.draw(fault_models(topo))
+    want = _reference_floor(topo, demands, model, k)
+    if want is None:
+        with pytest.raises(UnroutableError):
+            step_lower_bound(topo, demands, fault_model=model, dropped=k)
+        return
+    bound, witness = step_lower_bound(
+        topo, demands, fault_model=model, dropped=k
+    )
+    kinds, capacities = want
+    assert witness["kinds"] == kinds and bound == max(kinds.values())
+    assert {key: witness[key] for key in capacities} == capacities
