@@ -180,30 +180,28 @@ def _resolved(topology, fault_model):
 
 
 def _distances(topology, src, dst, resolved) -> np.ndarray:
-    """Per-packet hop distances (grouped by destination under structural
-    faults, where they come from the surviving graph's BFS tables).
-    Raises :class:`~repro.faults.UnroutableError` when a demand's
-    endpoints are disconnected (its bound would be infinite)."""
+    """Per-packet hop distances (under structural faults, read from the
+    surviving graph's batched BFS table).  Raises
+    :class:`~repro.faults.UnroutableError` when a demand's endpoints are
+    disconnected (its bound would be infinite)."""
     from ..faults.model import UnroutableError
 
     if resolved is None or not resolved.structural:
         return topology.distance_array(src, dst)
-    graph = resolved.surviving_graph(topology)
-    by_dest: dict[int, list[int]] = {}
-    for s, d in zip(src.tolist(), dst.tolist()):
-        by_dest.setdefault(d, []).append(s)
-    out: list[int] = []
-    for d, sources in by_dest.items():
-        table = graph.distances_list(d)
-        for s in sources:
-            hops = table[s]
-            if hops < 0:
-                raise UnroutableError(
-                    f"no surviving path from {s} to {d}: the step lower "
-                    "bound is infinite"
-                )
-            out.append(hops)
-    return np.array(out, dtype=np.int64)
+    table, dest_row = resolved.surviving_graph(topology).dest_table(dst)
+    hops = table[dest_row[dst], src]
+    cut = np.flatnonzero(hops < 0)
+    if cut.size:
+        # Name the first cut packet of the first destination (in order of
+        # first appearance) that has one.
+        uniq, first = np.unique(dst, return_index=True)
+        seen = first[np.searchsorted(uniq, dst[cut])]
+        pid = cut[np.argmin(seen)]
+        raise UnroutableError(
+            f"no surviving path from {int(src[pid])} to {int(dst[pid])}: "
+            "the step lower bound is infinite"
+        )
+    return hops
 
 
 def _is_hypergraph(topology) -> bool:

@@ -179,41 +179,60 @@ def batched_surviving_distances(
     """BFS hop counts to every destination at once: a ``(D, n)`` matrix.
 
     Row ``k`` equals ``surviving_distances(adjacency, dests[k])`` exactly
-    (-1 where unreachable) — distances are unique, so the level-synchronous
-    frontier sweep and the per-destination deque BFS cannot disagree.  All
-    D searches advance one level per iteration over a shared frontier of
-    ``(destination, node)`` pairs, so the per-level work is a handful of
-    NumPy calls however many destinations are in flight.
+    (-1 where unreachable); the adjacency must be undirected, as every
+    surviving graph is.  This is a bit-parallel multi-source BFS: search
+    ``k`` owns bit ``k % 64`` of word ``k // 64`` in per-node ``uint64``
+    bitsets, so one level of all D searches is one gather of the frontier
+    over the CSR entries and one ``bitwise_or.reduceat`` per row.  Levels
+    are not scattered as they are found: each newly reached bit is OR-ed
+    into the bit planes of its level number, and the planes are unpacked
+    and summed once at the end.
     """
     n = indptr.shape[0] - 1
     dest_arr = np.asarray(dests, dtype=np.int64)
     d = dest_arr.shape[0]
-    dist = np.full((d, n), -1, dtype=np.int64)
-    if d == 0:
-        return dist
-    flat = dist.ravel()
-    flat[np.arange(d, dtype=np.int64) * n + dest_arr] = 0
-    front_k = np.arange(d, dtype=np.int64)
-    front_node = dest_arr.copy()
-    # Scatter pad for O(frontier) dedup: last write to each code wins, so
-    # ``pad[codes] == position`` keeps exactly one entry per code — far
-    # cheaper than sorting/hashing the frontier every level.
-    pad = np.empty(d * n, dtype=np.int64)
+    words = (d + 63) // 64
+    k = np.arange(d, dtype=np.int64)
+    frontier = np.zeros((n, words), dtype=np.uint64)
+    bits = np.uint64(1) << (k & 63).astype(np.uint64)
+    np.bitwise_or.at(frontier, (dest_arr, k >> 6), bits)
+    visited = frontier.copy()
+    # ``reduceat`` yields the first element, not the identity, for an empty
+    # segment, so the sweep runs over the non-empty rows only.  Down nodes
+    # have empty rows and no row lists them, so they never join a frontier.
+    live = np.flatnonzero(np.diff(indptr))
+    rows = slice(None) if live.size == n else live
+    starts = indptr[live]
+    planes: list[np.ndarray] = []
     level = 0
-    while front_node.size:
+    while live.size:
         level += 1
-        rows, nbrs = _csr_gather(indptr, indices, front_node)
-        codes = front_k[rows] * n + nbrs
-        codes = codes[flat[codes] == -1]
-        if codes.size == 0:
+        new = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+        new &= ~visited[rows]
+        if not new.any():
             break
-        pos = np.arange(codes.shape[0], dtype=np.int64)
-        pad[codes] = pos
-        codes = codes[pad[codes] == pos]
-        flat[codes] = level
-        front_k = codes // n
-        front_node = codes - front_k * n
-    return dist
+        visited[rows] |= new
+        frontier[rows] = new
+        if level == 1 << len(planes):
+            planes.append(np.zeros_like(visited))
+        for bit, plane in enumerate(planes):
+            if level >> bit & 1:
+                plane[rows] |= new
+    # The narrowest signed type that holds -1 and every level seen; start
+    # from 0 where reached and -1 where not, then OR in the level bits.
+    narrow = np.min_scalar_type(-(1 << len(planes)))
+    hops = _unpack(visited, d).astype(narrow)
+    hops -= 1
+    for bit, plane in enumerate(planes):
+        hops |= np.left_shift(_unpack(plane, d), bit, dtype=narrow)
+    return hops.T.astype(np.int64, order="C")
+
+
+def _unpack(bitset: np.ndarray, count: int) -> np.ndarray:
+    """``(rows, count)`` uint8 0/1 matrix of a ``(rows, words)`` bitset:
+    column ``k`` is bit ``k % 64`` of word ``k // 64``."""
+    as_bytes = bitset.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=count, bitorder="little")
 
 
 class SurvivingGraph:
@@ -266,8 +285,8 @@ class SurvivingGraph:
         """``(table, dest_row)`` covering every destination in ``dests``.
 
         ``table[dest_row[d], u]`` is the surviving distance from ``u`` to
-        ``d``; missing destinations are BFS'd in one batched frontier
-        sweep and appended.  Both arrays are shared (cached) across calls.
+        ``d``; missing destinations are BFS'd in one bit-parallel batch
+        and appended.  Both arrays are shared (cached) across calls.
         """
         dests = np.unique(np.asarray(dests, dtype=np.int64))
         missing = dests[self._dest_row[dests] < 0]

@@ -302,7 +302,7 @@ def numpy_degraded_core(
     vectorize on top:
 
     * hops come from the fault-aware router's ``next_hop_array`` (batched
-      BFS distance tables, warmed in one frontier sweep up front);
+      BFS distance tables, warmed in one bit-parallel BFS up front);
     * degraded hypermesh nets add a third arbitration code — all proposals
       on one degraded net share a *serial* code, so first-claim-wins
       grants at most one per step, while intact nets get unique serial

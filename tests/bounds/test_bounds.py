@@ -130,6 +130,20 @@ class TestFaultAwareness:
         with pytest.raises(UnroutableError):
             step_lower_bound(topo, [(0, 3)], fault_model=model)
 
+    def test_unroutable_names_first_cut_packet_of_first_destination(self):
+        # Nodes 0 and 15 are cut off.  Destinations 9 and 15 both have a
+        # cut packet; 9 appears first, so its cut packet (0 -> 9) is named
+        # even though (3 -> 15) comes earlier in packet order.
+        topo = Mesh2D(4)
+        model = FaultModel(
+            seed=1, link_failures=((0, 1), (0, 4), (11, 15), (14, 15))
+        )
+        demands = [(5, 9), (3, 15), (0, 9), (2, 15), (7, 0)]
+        with pytest.raises(
+            UnroutableError, match=r"^no surviving path from 0 to 9: "
+        ):
+            step_lower_bound(topo, demands, fault_model=model)
+
     def test_degrading_a_net_tightens_the_hypermesh(self):
         topo = Hypermesh2D(2)
         demands = [(0, 1), (1, 0), (2, 3), (3, 2)]

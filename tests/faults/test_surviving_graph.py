@@ -3,9 +3,10 @@
 Three contracts live here:
 
 * :func:`~repro.networks.degraded.batched_surviving_distances` (a
-  level-synchronous frontier sweep over CSR adjacency) equals the scalar
+  bit-parallel multi-source BFS over CSR adjacency) equals the scalar
   per-destination BFS in :func:`~repro.networks.degraded.surviving_distances`
-  for every destination;
+  for every destination, and its transient memory stays a small multiple
+  of the table it returns;
 * :class:`~repro.faults.ResolvedFaults` caches one
   :class:`~repro.networks.degraded.SurvivingGraph` per topology, and
   :func:`~repro.faults.resolve_faults` memoizes per ``(topology, model)`` —
@@ -16,6 +17,8 @@ Three contracts live here:
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +67,21 @@ class TestBatchedBfs:
         )
         assert table[0].tolist() == [0, 1, -1, -1]
         assert table[1].tolist() == [-1, -1, 0, 1]
+
+    def test_peak_memory_is_a_small_multiple_of_the_table(self):
+        topo = Hypercube(10)
+        adj = _adjacency(topo, FaultModel(link_fail_fraction=0.05, seed=3))
+        indptr, indices = surviving_csr(adj)
+        dests = np.arange(topo.num_nodes, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            table = batched_surviving_distances(indptr, indices, dests)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The bitsets are n*D/8 bytes each; only the int64 output is big.
+        assert table.nbytes == 8 * 1024 * 1024
+        assert peak < 3 * table.nbytes
 
 
 class TestStructureCaching:
