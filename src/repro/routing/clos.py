@@ -104,8 +104,12 @@ def route_permutation_3step(
     Returns
     -------
     ClosRoute
-        Phases verified to compose to ``perm`` (asserted structurally by
-        construction; the simulator independently replays them).
+        Phases that compose to ``perm``, each row- or column-internal, by
+        the construction in the module docstring.  Nothing re-checks them
+        at run time; the properties in
+        ``tests/properties/test_clos_props.py`` pin the composition, the
+        net-internal shape of every phase and a replay through the
+        hardware validator.
     """
     n = perm.n
     if hypermesh is None:

@@ -24,7 +24,12 @@ __all__ = ["Permutation", "is_permutation_array"]
 
 
 def is_permutation_array(values: Sequence[int] | np.ndarray) -> bool:
-    """True when ``values`` is a permutation of ``0..len-1``."""
+    """True when ``values`` is a permutation of ``0..len-1``.
+
+    Only integer dtypes qualify (bool and float arrays never do).  Once every
+    value is known to lie in ``[0, n)``, ``n`` values form a permutation
+    exactly when they hit all ``n`` slots, which one O(n) scatter checks.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         return False
@@ -33,7 +38,9 @@ def is_permutation_array(values: Sequence[int] | np.ndarray) -> bool:
     n = arr.size
     if arr.min() < 0 or arr.max() >= n:
         return False
-    return np.unique(arr).size == n
+    seen = np.zeros(n, dtype=bool)
+    seen[arr] = True
+    return bool(seen.all())
 
 
 class Permutation:
@@ -42,9 +49,12 @@ class Permutation:
     __slots__ = ("_dest",)
 
     def __init__(self, destinations: Sequence[int] | np.ndarray):
-        arr = np.asarray(destinations, dtype=np.int64).copy()
+        # Validate before the int64 cast, which would truncate floats and
+        # turn bools into 0/1.
+        arr = np.asarray(destinations)
         if not is_permutation_array(arr):
             raise ValueError("input is not a permutation of 0..n-1")
+        arr = arr.astype(np.int64)
         arr.setflags(write=False)
         self._dest = arr
 

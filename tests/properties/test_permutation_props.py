@@ -1,10 +1,11 @@
 """Property-based tests (hypothesis) for the permutation algebra."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.routing import Permutation
+from repro.routing import Permutation, is_permutation_array
 
 
 def permutations(max_n: int = 64):
@@ -106,3 +107,91 @@ def test_bpc_spec_roundtrip(width, data):
     recovered_sources, recovered_mask = spec
     assert list(recovered_sources) == list(sources)
     assert recovered_mask == mask
+
+
+# ---------------------------------------------------------------- validation
+def reference_is_permutation_array(values):
+    """Oracle: the sort/hash-based check, ``np.unique(arr).size == n``."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.size == 0:
+        return False
+    if not np.issubdtype(arr.dtype, np.integer):
+        return False
+    n = arr.size
+    if arr.min() < 0 or arr.max() >= n:
+        return False
+    return np.unique(arr).size == n
+
+
+INTEGER_DTYPES = [
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+]
+
+
+@st.composite
+def candidate_arrays(draw):
+    """Permutations of ``0..n-1`` in every integer dtype, some with entries
+    overwritten (duplicates, negatives, values >= n), plus bool and float
+    arrays of the same values."""
+    n = draw(st.integers(0, 40))
+    values = draw(st.permutations(list(range(n))))
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        values[draw(st.integers(0, n - 1))] = draw(st.integers(-3, n + 3))
+    dtype = draw(st.sampled_from(INTEGER_DTYPES + [np.bool_, np.float64, np.float32]))
+    if np.issubdtype(dtype, np.unsignedinteger):
+        values = [abs(v) for v in values]
+    return np.array(values).astype(dtype)
+
+
+@given(candidate_arrays())
+def test_is_permutation_array_matches_unique_reference(arr):
+    got = is_permutation_array(arr)
+    assert type(got) is bool
+    assert got == reference_is_permutation_array(arr)
+    assert is_permutation_array(arr.tolist()) == reference_is_permutation_array(arr.tolist())
+
+
+@given(candidate_arrays())
+def test_permutation_accepts_exactly_the_valid_arrays(arr):
+    if reference_is_permutation_array(arr):
+        p = Permutation(arr)
+        assert p.destinations.dtype == np.int64
+        assert p.destinations.tolist() == arr.tolist()
+    else:
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(arr)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0, 0, 2],  # duplicate; min and max still valid
+        [2, 2, 0],
+        [1, 1],
+        [0, -1],
+        [0, 2],  # value >= n
+        [],
+        np.zeros(0, dtype=np.int64),
+        np.int64(0),  # 0-d
+        np.array(0),
+        np.array([[0, 1], [1, 0]]),  # 2-D
+        np.array([[0]]),
+        [True, False],
+        np.array([False]),
+        [0.0, 1.0],  # integral values, float dtype
+        np.array([1.0, 0.0], dtype=np.float32),
+        [0.7, 1.2],
+    ],
+)
+def test_is_permutation_array_rejects(values):
+    assert reference_is_permutation_array(values) is False
+    assert is_permutation_array(values) is False
+
+
+@pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+def test_is_permutation_array_accepts_every_integer_dtype(dtype):
+    values = np.array([3, 0, 2, 1], dtype=dtype)
+    assert reference_is_permutation_array(values)
+    assert is_permutation_array(values) is True
+    assert Permutation(values).destinations.tolist() == [3, 0, 2, 1]

@@ -22,6 +22,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             Permutation([])
 
+    def test_rejects_float_input(self):
+        # Casting first would truncate these to the identity [0, 1].
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation([0.7, 1.2])
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(np.array([1.0, 0.0]))
+
+    def test_rejects_bool_input(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation([True, False])
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(np.array([False]))
+
+    def test_narrow_integer_input_is_widened_and_copied(self):
+        src = np.array([2, 0, 1], dtype=np.uint8)
+        p = Permutation(src)
+        assert p.destinations.dtype == np.int64
+        src[0] = 0
+        assert p.destinations.tolist() == [2, 0, 1]
+
+    def test_int64_input_is_copied(self):
+        src = np.array([1, 0], dtype=np.int64)
+        p = Permutation(src)
+        src[:] = 0
+        assert p.destinations.tolist() == [1, 0]
+
     def test_is_permutation_array(self):
         assert is_permutation_array([1, 0, 2])
         assert not is_permutation_array([1, 1, 2])
