@@ -164,6 +164,9 @@ def run_service_benchmark(
         "failures": 0,
         "service_counters": stats_body["service"],
         "pool_counters": stats_body["pool"],
+        # Server-side latency per source, from the same /v1/stats call as
+        # the counters, so each histogram's count matches its counter.
+        "latency": stats_body["latency"],
     }
     out_path.write_text(json.dumps(artifact, indent=2) + "\n")
     return artifact

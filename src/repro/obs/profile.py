@@ -135,9 +135,11 @@ def _service_route_benchmark() -> Any:
     """The service's request path, cold then warm, minus the network.
 
     Profiles exactly what a ``POST /v1/route`` pays per request: body
-    validation, plan-key derivation, one cold :func:`~repro.service.jobs.
-    execute_route` (in-process here, so the profile sees the engine
-    frames), then a warm replay through the shared cache tier.
+    validation, plan-key derivation (once, as the service's event loop
+    does, which then adds the digest and key to the worker's result), one
+    cold :func:`~repro.service.jobs.execute_route` (in-process here, so
+    the profile sees the engine frames), then a warm replay through the
+    shared cache tier.
     """
     import tempfile
 
@@ -147,9 +149,13 @@ def _service_route_benchmark() -> Any:
     body = {"topology": "hypercube", "n": 256, "workload": "dense-permutation"}
     with tempfile.TemporaryDirectory() as root:
         job = RouteRequest.from_body(body)
-        cold = execute_route(job.to_params(root))
-        cache = PlanCache(root)
-        warm = cache.get(job.plan_key())
+        key = job.plan_key()
+        cold = {
+            **execute_route(job.to_params(root)),
+            "digest": key.digest,
+            "key": key.to_dict(),
+        }
+        warm = PlanCache(root).get(key)
         assert warm is not None
         return cold, warm.replay_stats()
 

@@ -7,7 +7,10 @@ content-addressed plan cache (:mod:`repro.sim.plancache`):
 
 * **warm** requests are answered by the event loop itself from the shared
   in-process LRU tier (falling back to the on-disk tier, which also warms
-  the LRU) — no process hop, no arbitration;
+  the LRU) — no process hop, no arbitration.  A seeded request's plan key
+  comes from a bounded memo (:class:`~repro.service.jobs.PlanKeyMemo`)
+  held next to that tier, so a warm hit neither rebuilds its demands nor
+  hashes them: it is parse, validate, memo lookup, ``cache.get``, encode;
 * **cold** requests dispatch the word-level engine run to a bounded
   kill-on-timeout worker pool (:mod:`repro.service.pool`); the worker
   records the plan blob to the shared on-disk tier and the response
@@ -22,21 +25,29 @@ Endpoints are registered in :data:`ENDPOINTS` — the table in
 ``tools/check_docs.py``.  Request/cache/pool metrics flow through
 :mod:`repro.obs` (``service.request`` events plus ``counter`` exports), so
 ``repro trace``-style tooling reads service traffic the same way it reads
-engine traffic.
+engine traffic; ``GET /v1/stats`` also carries per-source latency
+histograms (:class:`LatencyHistogram`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from bisect import bisect_left
 from typing import Mapping
 
-from ..sim.plancache import PlanCache, plan_key as make_plan_key
+from ..sim.plancache import PlanCache
 from .http import ProtocolError, Request, json_response, read_request
-from .jobs import RouteRequest, ValidationError, execute_route
+from .jobs import (
+    ROUTE_STATS,
+    PlanKeyMemo,
+    RouteRequest,
+    ValidationError,
+    execute_route,
+)
 from .pool import JobCrashed, JobFailed, JobTimeout, WorkerPool
 
-__all__ = ["ENDPOINTS", "RoutingService"]
+__all__ = ["ENDPOINTS", "LATENCY_EDGES_MS", "LatencyHistogram", "RoutingService"]
 
 #: The service's public surface: (method, path, name, description).
 #: docs/API.md renders its endpoint table from exactly this tuple
@@ -62,7 +73,8 @@ ENDPOINTS = (
         "/v1/stats",
         "stats",
         "Service, worker-pool, and plan-cache counters (per-process and "
-        "cross-process disk-tier totals), plus disk-tier inventory.",
+        "cross-process disk-tier totals), disk-tier inventory, and "
+        "per-source (warm, cold, coalesced) latency histograms.",
     ),
     (
         "GET",
@@ -74,6 +86,36 @@ ENDPOINTS = (
 
 #: Default per-request wall-clock budget for a cold plan computation.
 DEFAULT_TIMEOUT = 60.0
+
+#: Upper bucket edges (ms) of the ``/v1/stats`` latency histograms: four
+#: per decade from 10 us to 100 s, plus an overflow bucket past the last.
+LATENCY_EDGES_MS = tuple(round(10.0 ** (k / 4), 4) for k in range(-8, 21))
+
+
+class LatencyHistogram:
+    """Response latencies on the fixed :data:`LATENCY_EDGES_MS` buckets.
+
+    ``buckets[i]`` counts latencies in ``(edges[i-1], edges[i]]``; the last
+    bucket counts those past the final edge.  Recording is one ``bisect``.
+    """
+
+    def __init__(self):
+        self.buckets = [0] * (len(LATENCY_EDGES_MS) + 1)
+        self.count = 0
+        self.total_ms = 0.0
+
+    def record(self, seconds: float) -> None:
+        ms = seconds * 1e3
+        self.buckets[bisect_left(LATENCY_EDGES_MS, ms)] += 1
+        self.count += 1
+        self.total_ms += ms
+
+    def to_dict(self) -> dict:
+        return {
+            "count": self.count,
+            "sum_ms": round(self.total_ms, 3),
+            "buckets": list(self.buckets),
+        }
 
 
 class RoutingService:
@@ -87,7 +129,8 @@ class RoutingService:
     max_workers:
         Bounded concurrency of cold plan computations.
     capacity:
-        Entries held by the in-process warm LRU tier.
+        Entries held by the in-process warm LRU tier, and by the memo of
+        seeded requests' plan keys kept next to it.
     default_timeout:
         Per-request budget (seconds) when the job names none; on expiry
         the worker is killed and the client gets HTTP 504.
@@ -107,6 +150,7 @@ class RoutingService:
         start_method: str | None = None,
     ):
         self.cache = PlanCache(plan_root, capacity=capacity)
+        self.keys = PlanKeyMemo(capacity)
         self.pool = WorkerPool(max_workers, start_method=start_method)
         self.default_timeout = float(default_timeout)
         self.tracer = tracer
@@ -128,6 +172,10 @@ class RoutingService:
         self.timeouts = 0
         self.unroutable = 0
         self.failed = 0
+        # Latency of the 200 responses each serving path gave.
+        self.latency = {
+            source: LatencyHistogram() for source in ("warm", "cold", "coalesced")
+        }
 
     # ----------------------------------------------------------- lifecycle
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -191,7 +239,13 @@ class RoutingService:
             self.requests += 1
             endpoint = f"{request.method} {request.path}"
             status, payload, source = await self._dispatch(request)
-        writer.write(json_response(status, payload))
+        response = json_response(status, payload)
+        # Timed before the write, so a client that has read this response
+        # always finds it in the histograms.
+        dur = time.perf_counter() - t0
+        if status == 200 and source in self.latency:
+            self.latency[source].record(dur)
+        writer.write(response)
         try:
             await writer.drain()
         except (ConnectionError, OSError):
@@ -201,7 +255,7 @@ class RoutingService:
                 "service.request",
                 endpoint=endpoint,
                 status=int(status),
-                dur=time.perf_counter() - t0,
+                dur=dur,
                 source=source,
             )
 
@@ -246,7 +300,12 @@ class RoutingService:
         }
 
     def counters(self) -> dict[str, int]:
-        """This process's response accounting, by outcome."""
+        """This process's response accounting, by outcome.
+
+        Every admitted route lands in exactly one of ``warm`` / ``cold`` /
+        ``coalesced`` (its 200 responses) or ``timeouts`` / ``unroutable``
+        / ``failed``.
+        """
         return {
             "requests": self.requests,
             "routes": self.routes,
@@ -270,6 +329,10 @@ class RoutingService:
             "plancache_disk": self.cache.persistent_counters(),
             "plans_on_disk": len(self.cache.disk_blobs()),
             "uptime": round(time.monotonic() - self._started, 3),
+            "latency": {
+                "edges_ms": list(LATENCY_EDGES_MS),
+                **{source: h.to_dict() for source, h in self.latency.items()},
+            },
         }
 
     def emit_counters(self, tracer) -> None:
@@ -315,46 +378,37 @@ class RoutingService:
         except ValidationError as exc:
             self.rejected += 1
             return 400, {"error": "invalid request", "fields": exc.fields}, "-"
-        self.routes += 1
 
         # Key the job exactly the way the engine would (the canonical
         # router is always registered, so every servable job is cacheable).
-        from ..sim.routers import router_for
-        from ..sim.task import build_topology
-
-        topology = build_topology(job.topology, job.n)
-        sources, dests = job.endpoints()
-        key = make_plan_key(
-            topology, sources, dests, router_for(topology),
-            job.arbitration, job._fault_model(),
-        )
+        try:
+            key, packets = self.keys.keyed(job)
+        except ValueError as exc:  # a workload that does not fit n
+            self.rejected += 1
+            return 400, {
+                "error": "invalid request", "fields": {"workload": str(exc)},
+            }, "-"
+        self.routes += 1
         digest = key.digest
 
         plan = self.cache.get(key)
         if plan is not None:
-            stats = plan.replay_stats()
+            fields = plan.stats_fields
             self.warm += 1
             return 200, {
                 "digest": digest,
                 "key": key.to_dict(),
                 "source": "warm",
-                "packets": len(sources),
-                "stats": {
-                    "steps": stats.steps,
-                    "total_hops": stats.total_hops,
-                    "max_queue_depth": stats.max_queue_depth,
-                    "blocked_moves": stats.blocked_moves,
-                    "delivered": stats.delivered,
-                    "dropped": stats.dropped,
-                    "retried": stats.retried,
-                },
+                "packets": packets,
+                # Fault counters arrived with plan schema 2 (see
+                # CachedPlan.replay_stats): absent means zero.
+                "stats": {name: int(fields.get(name, 0)) for name in ROUTE_STATS},
             }, "warm"
 
         # Single-flight: one computation per digest, however many clients
         # ask for it concurrently.
         task = self._inflight.get(digest)
         if task is not None:
-            self.coalesced += 1
             self.cache.coalesced += 1
             source = "coalesced"
         else:
@@ -388,7 +442,11 @@ class RoutingService:
             return 500, {"error": str(exc)}, source
         if source == "cold":
             self.cold += 1
-        return 200, {**result, "source": source}, source
+        else:
+            self.coalesced += 1
+        return 200, {
+            **result, "digest": digest, "key": key.to_dict(), "source": source,
+        }, source
 
     async def _compute(self, job: RouteRequest) -> dict:
         timeout = job.timeout if job.timeout is not None else self.default_timeout

@@ -6,9 +6,10 @@ hard limits on header and body size so a misbehaving client cannot buffer
 the event loop into the ground.  Only the subset the routing service
 speaks is implemented: ``GET``/``POST``, JSON bodies sized by
 ``Content-Length``, one request per connection (the server answers
-``Connection: close`` and closes; clients open a connection per call,
-which the load harness shows is nowhere near the bottleneck — the plan
-computation is).
+``Connection: close`` and closes; clients open a connection per call).
+That is cheap next to a cold request's plan computation, but a warm hit
+computes no plan: there, reading and writing the request is a large
+share of the whole, alongside validation and JSON encoding.
 
 :class:`ProtocolError` carries the HTTP status a violation maps to, so the
 connection handler can answer malformed traffic with a proper error body

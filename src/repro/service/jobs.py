@@ -10,19 +10,40 @@ module-level (hence picklable) function the worker pool executes in a
 separate process with the plan cache's on-disk tier as the hand-off
 medium: the worker records the blob, the event loop's shared warm LRU
 tier replays it for every later identical request.
+
+:class:`PlanKeyMemo` is what keeps a warm request cheap: a seeded job's
+plan key is a pure function of its validated fields, so the event loop
+derives it (building the seeded demands and hashing them) once per
+distinct request and looks it up afterwards.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Mapping
 
 __all__ = [
+    "ROUTE_STATS",
     "ValidationError",
     "RouteRequest",
+    "PlanKeyMemo",
     "execute_route",
 ]
+
+#: The routing counters a ``POST /v1/route`` response carries under
+#: ``stats``, in the engine's :class:`~repro.sim.stats.RoutingStats` names.
+ROUTE_STATS = (
+    "steps",
+    "total_hops",
+    "max_queue_depth",
+    "blocked_moves",
+    "delivered",
+    "dropped",
+    "retried",
+)
 
 
 class ValidationError(Exception):
@@ -198,6 +219,10 @@ class RouteRequest:
     def plan_key(self):
         """The job's :class:`~repro.sim.plancache.PlanKey` (never ``None``:
         only canonical routers are servable, and all are registered)."""
+        return self.keyed()[0]
+
+    def keyed(self):
+        """``(plan_key, packets)`` from one build of the job's demands."""
         from ..sim.plancache import plan_key
         from ..sim.routers import router_for
         from ..sim.task import build_topology
@@ -205,9 +230,35 @@ class RouteRequest:
         topology = build_topology(self.topology, self.n)
         sources, dests = self.endpoints()
         fault_model = self._fault_model()
-        return plan_key(
+        key = plan_key(
             topology, sources, dests, router_for(topology),
             self.arbitration, fault_model,
+        )
+        return key, len(sources)
+
+    def memo_key(self) -> tuple | None:
+        """The seeded job's canonical form, or ``None`` for explicit
+        ``demands`` (those are keyed by hashing them).
+
+        It holds every field the plan key depends on — the fault params
+        as canonical JSON, a hashable form that never merges two bodies
+        the fault model could tell apart — plus
+        :data:`~repro.sim.plancache.PLAN_SCHEMA_VERSION` read at call
+        time, so a schema bump re-keys.  ``backend`` and ``timeout`` are
+        absent: neither reaches the plan key.
+        """
+        if self.demands is not None:
+            return None
+        from ..sim import plancache
+
+        fault = (
+            json.dumps(self.fault, sort_keys=True, separators=(",", ":"))
+            if self.fault
+            else None
+        )
+        return (
+            self.topology, self.n, self.workload, self.seed,
+            self.arbitration, fault, plancache.PLAN_SCHEMA_VERSION,
         )
 
     def _fault_model(self):
@@ -232,6 +283,41 @@ class RouteRequest:
             "fault": self.fault,
             "plan_root": plan_root,
         }
+
+
+class PlanKeyMemo:
+    """Bounded LRU from a seeded job's :meth:`RouteRequest.memo_key` to its
+    ``(PlanKey, packets)``.
+
+    A hit skips building the seeded demands and hashing them; explicit
+    ``demands`` bodies are keyed afresh every time and never stored.  At
+    most ``capacity`` entries are held, least recently used evicted first.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("plan key memo capacity must be >= 1")
+        self.capacity = int(capacity)
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+
+    def keyed(self, job: RouteRequest):
+        """``(plan_key, packets)`` of ``job``, derived at most once per
+        canonical form while it stays in the memo."""
+        memo_key = job.memo_key()
+        if memo_key is None:
+            return job.keyed()
+        entry = self._entries.get(memo_key)
+        if entry is not None:
+            self._entries.move_to_end(memo_key)
+            return entry
+        entry = job.keyed()
+        self._entries[memo_key] = entry
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+        return entry
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def _parse_demands(demands, n, errors: dict):
@@ -261,11 +347,13 @@ def _parse_demands(demands, n, errors: dict):
 def execute_route(params: dict) -> dict:
     """Route one job in a worker process; the plan blob lands on disk.
 
-    Returns a flat JSON-serializable result: the plan's content digest and
-    key, the routing counters, and honest host timing.  ``cached`` reports
-    whether *this worker* replayed an existing blob (the event loop
-    normally answers warm requests itself, so a worker-side hit means two
-    cold requests raced past the coalescing window — rare but correct).
+    Returns a flat JSON-serializable result: the packet count, the routing
+    counters, and honest host timing.  The plan's digest and key are not
+    in it: the event loop derived them before dispatching the job and adds
+    them to the response itself.  ``cached`` reports whether *this worker*
+    replayed an existing blob (the event loop normally answers warm
+    requests itself, so a worker-side hit means two cold requests raced
+    past the coalescing window — rare but correct).
     """
     from ..sim.engine import route_demands
     from ..sim.plancache import PlanCache
@@ -274,13 +362,10 @@ def execute_route(params: dict) -> dict:
     topology = build_topology(params["topology"], int(params["n"]))
     if params.get("demands") is not None:
         pairs = [(int(s), int(d)) for s, d in params["demands"]]
-        sources = [s for s, _ in pairs]
-        dests = [d for _, d in pairs]
     else:
-        sources, dests = build_workload(
+        pairs = list(zip(*build_workload(
             params["workload"], int(params["n"]), int(params.get("seed", 99))
-        )
-        pairs = list(zip(sources, dests))
+        )))
 
     fault_model = None
     if params.get("fault"):
@@ -302,27 +387,10 @@ def execute_route(params: dict) -> dict:
     )
     route_seconds = time.perf_counter() - t0
 
-    from ..sim.plancache import plan_key
-    from ..sim.routers import router_for
-
-    key = plan_key(
-        topology, sources, dests, router_for(topology),
-        params.get("arbitration", "overtaking"), fault_model,
-    )
     stats = routed.stats
     return {
-        "digest": key.digest,
-        "key": key.to_dict(),
         "packets": len(pairs),
-        "stats": {
-            "steps": stats.steps,
-            "total_hops": stats.total_hops,
-            "max_queue_depth": stats.max_queue_depth,
-            "blocked_moves": stats.blocked_moves,
-            "delivered": stats.delivered,
-            "dropped": stats.dropped,
-            "retried": stats.retried,
-        },
+        "stats": {name: getattr(stats, name) for name in ROUTE_STATS},
         "cached": bool(cache is not None and cache.hits),
         "route_seconds": round(route_seconds, 6),
     }

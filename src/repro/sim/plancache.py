@@ -41,6 +41,7 @@ import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -197,9 +198,10 @@ class PlanKey:
     fault: str = "none"
     schema: int = PLAN_SCHEMA_VERSION
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Hex digest naming this plan's blob on disk."""
+        """Hex digest naming this plan's blob on disk (computed once per key:
+        the fields are frozen)."""
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:32]
 

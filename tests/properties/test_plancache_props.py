@@ -10,18 +10,28 @@ field of an enabled :class:`~repro.faults.FaultModel` must perturb the
 fingerprint, a disabled model must key identically to no model at all, and
 a faulted run must never be served a fault-free blob (the regression the
 schema-2 key exists to prevent).
+
+The service's :class:`~repro.service.jobs.PlanKeyMemo` skips that
+derivation for requests it has seen, so it gets the same scrutiny: a
+memoized key must equal a freshly derived one whatever request field
+moves, and a schema bump must re-key rather than serve a stale key.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.faults import FaultModel
 from repro.networks import Hypercube, Mesh2D, Torus2D
-from repro.sim import PlanCache, plan_key, route_demands
-from repro.sim.plancache import fault_fingerprint
+from repro.service.jobs import PlanKeyMemo, RouteRequest
+from repro.sim import PlanCache, plan_key, plancache, route_demands
+from repro.sim.plancache import PlanKey, fault_fingerprint
 from repro.sim.routers import router_for
+from repro.sim.task import build_topology, build_workload
 
 
 def _key(topo, demands, arbitration="overtaking", fault_model=None):
@@ -165,3 +175,117 @@ def test_faulted_run_never_serves_a_fault_free_blob():
     assert list(again_free.steps) == list(fault_free.steps)
     assert again_free.stats == fault_free.stats
     assert list(faulted.steps) != list(fault_free.steps)
+
+
+@given(
+    st.builds(
+        PlanKey,
+        topology=st.text(max_size=12),
+        demands=st.text(alphabet="0123456789abcdef", max_size=64),
+        router=st.text(max_size=12),
+        arbitration=st.sampled_from(["overtaking", "fifo"]),
+        fault=st.text(max_size=12),
+        schema=st.integers(0, 9),
+    )
+)
+def test_cached_digest_equals_a_fresh_hash(key):
+    fresh = hashlib.sha256(
+        json.dumps(key.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()[:32]
+    assert key.digest == fresh
+    assert key.__dict__["digest"] == fresh  # stored on the instance
+    assert key.digest is key.digest
+
+
+# ------------------------------------------------------------- key memo
+#: Every fault param a route body can carry, each with a value to move to.
+FAULT_PERTURBATIONS = {
+    "seed": 11,
+    "link_failures": [[0, 1], [2, 3]],
+    "node_failures": [5],
+    "net_failures": [1],
+    "degraded_nets": [2],
+    "link_fail_fraction": 0.3,
+    "drop_prob": 0.4,
+    "retry_limit": 3,
+}
+
+
+def _fresh_key(body: dict):
+    """The plan key derived from scratch, not through any request type."""
+    topology = build_topology(body["topology"], body["n"])
+    sources, dests = build_workload(body["workload"], body["n"], body["seed"])
+    fault = body.get("fault")
+    return plan_key(
+        topology, sources, dests, router_for(topology),
+        body.get("arbitration", "overtaking"),
+        FaultModel.from_params(fault) if fault else None,
+    )
+
+
+@st.composite
+def seeded_body(draw):
+    body = {
+        "topology": draw(
+            st.sampled_from(["mesh2d", "torus2d", "hypercube", "hypermesh2d"])
+        ),
+        "n": draw(st.sampled_from([16, 64])),
+        "workload": draw(
+            st.sampled_from(["dense-permutation", "bit-reversal", "sparse-hrelation"])
+        ),
+        "seed": draw(st.integers(0, 1000)),
+        "arbitration": draw(st.sampled_from(["overtaking", "fifo"])),
+    }
+    if draw(st.booleans()):
+        body["fault"] = {"seed": draw(st.integers(0, 9)), "drop_prob": 0.1}
+    return body
+
+
+def _perturbations(body: dict):
+    """One body per request field (and per fault param) with it moved."""
+    other = {
+        "topology": "torus2d" if body["topology"] != "torus2d" else "mesh2d",
+        "n": 64 if body["n"] == 16 else 16,
+        "workload": (
+            "bit-reversal"
+            if body["workload"] != "bit-reversal"
+            else "dense-permutation"
+        ),
+        "seed": body["seed"] + 1,
+        "arbitration": "fifo" if body["arbitration"] == "overtaking" else "overtaking",
+    }
+    for name, value in other.items():
+        yield name, {**body, name: value}
+    fault = body.get("fault", {"seed": 0})
+    for name, value in FAULT_PERTURBATIONS.items():
+        assert fault.get(name) != value  # the base never holds these values
+        yield f"fault.{name}", {**body, "fault": {**fault, name: value}}
+
+
+@given(seeded_body())
+def test_memoized_key_equals_a_fresh_key_under_every_perturbation(body):
+    memo = PlanKeyMemo(capacity=64)
+    key, packets = memo.keyed(RouteRequest.from_body(body))
+    assert key == _fresh_key(body)
+    sources, _ = build_workload(body["workload"], body["n"], body["seed"])
+    assert packets == len(sources)
+    for name, moved in _perturbations(body):
+        got, _ = memo.keyed(RouteRequest.from_body(moved))
+        assert got == _fresh_key(moved), f"stale memo entry after moving {name}"
+    # The base request still finds its own key, not a neighbour's.
+    assert memo.keyed(RouteRequest.from_body(body))[0] == key
+
+
+def test_schema_bump_rekeys_memoized_requests(monkeypatch):
+    body = {"topology": "mesh2d", "n": 16, "workload": "dense-permutation", "seed": 3}
+    memo = PlanKeyMemo(capacity=4)
+    job = RouteRequest.from_body(body)
+    before, _ = memo.keyed(job)
+    assert before.schema == plancache.PLAN_SCHEMA_VERSION
+
+    monkeypatch.setattr(plancache, "PLAN_SCHEMA_VERSION", before.schema + 1)
+    after, _ = memo.keyed(job)
+    assert after.schema == before.schema + 1
+    assert after.digest != before.digest
+    assert after == _fresh_key(body)
+    assert len(memo) == 2  # the stale entry is unreachable, not reused
