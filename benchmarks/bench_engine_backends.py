@@ -1,10 +1,11 @@
-"""Per-backend routing-engine scaling — the BENCH_engine.json recorder.
+"""Per-core routing-engine scaling — the BENCH_engine.json recorder.
 
-Every engine backend (``indexed``, ``numpy``, plus ``numba`` and ``cupy``
-when the optional packages are usable) routes identical fixed-seed
+Both engine cores (``indexed`` and ``numpy``) route identical fixed-seed
 workloads on meshes, hypercubes and hypermeshes, timed against the frozen
-seed loop in
-:mod:`repro.sim._reference`.  Each emitted row carries ``equivalent:
+seed loop in :mod:`repro.sim._reference`.  Every cell is timed
+``REPEATS`` times, whatever its size; a row records the median, the
+interquartile range and the sample count, and the artifact records the
+host it ran on.  Each emitted row carries ``equivalent:
 true`` only after the row's schedule and :class:`RoutingStats` have been
 checked bit-identical to the seed loop *and* the row's
 :class:`CachedPlan` payload — the exact JSON body a plan-cache blob
@@ -24,6 +25,9 @@ point and delegates here, so the sweep runs once per session.
 
 import json
 import math
+import os
+import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -36,6 +40,8 @@ WORKLOAD_SEED = 99
 
 ENGINE_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 ENGINE_SIZES = (256, 1024, 4096, 16384)
+#: Timed runs per cell and side, at every size.
+REPEATS = 5
 
 #: Acceptance bars, enforced whenever the sweep includes N = 4096: the
 #: indexed rebuild keeps its >= 5x, the SoA numpy core must clear >= 10x
@@ -46,11 +52,7 @@ from repro.bounds import certify
 from repro.networks import Hypercube, Hypermesh2D, Mesh2D
 from repro.routing import Permutation
 from repro.sim._reference import reference_route_core
-from repro.sim.backends import (
-    available_backends,
-    cupy_available,
-    resolve_backend,
-)
+from repro.sim.backends import ENGINE_BACKENDS, resolve_backend
 from repro.sim.plancache import CachedPlan
 from repro.sim.routers import router_for
 
@@ -89,60 +91,27 @@ def _plan_blob(steps, stats) -> str:
     )
 
 
-def _gpu_crossover(sizes, rows) -> dict:
-    """Per-size CPU/GPU crossover rows for the best-effort ``cupy``
-    backend, in the style of the wafer-scale comparison: one row per N
-    comparing the fastest CPU core against the GPU kernel on the dense
-    mesh permutation.  When no CUDA device is visible the section records
-    ``gpu_available: false`` and null GPU timings — never a guessed or
-    stale number.
-    """
-    gpu = cupy_available()
-    crossover_rows = []
-    for n in sizes:
-        cpu_cells = [
-            r for r in rows
-            if r["n"] == n and r["topology"] == "mesh2d"
-            and r["workload"] == "dense-permutation"
-            and r["backend"] in ("indexed", "numpy")
-        ]
-        if not cpu_cells:
-            continue
-        best_cpu = min(cpu_cells, key=lambda r: r["engine_seconds"])
-        row = {
-            "n": n,
-            "topology": "mesh2d",
-            "workload": "dense-permutation",
-            "gpu_available": gpu,
-            "cpu_backend": best_cpu["backend"],
-            "cpu_seconds": best_cpu["engine_seconds"],
-            "gpu_seconds": None,
-            "gpu_speedup_vs_cpu": None,
-        }
-        if gpu:  # pragma: no cover - needs a CUDA device
-            gpu_cell = next(
-                (
-                    r for r in rows
-                    if r["n"] == n and r["topology"] == "mesh2d"
-                    and r["workload"] == "dense-permutation"
-                    and r["backend"] == "cupy"
-                ),
-                None,
-            )
-            if gpu_cell is not None:
-                row["gpu_seconds"] = gpu_cell["engine_seconds"]
-                row["gpu_speedup_vs_cpu"] = round(
-                    best_cpu["engine_seconds"] / gpu_cell["engine_seconds"],
-                    2,
-                )
-        crossover_rows.append(row)
+def _spread(samples: list[float]) -> tuple[float, float]:
+    """(median, interquartile range) of one cell's timings, in seconds."""
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return statistics.median(samples), q3 - q1
+
+
+def _host() -> dict:
+    cpu = "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
     return {
-        "gpu_available": gpu,
-        "note": (
-            "cupy is a best-effort backend: timed only when the package "
-            "imports and a CUDA device is visible; fault-free runs only"
-        ),
-        "rows": crossover_rows,
+        "nproc": os.cpu_count(),
+        "cpu": cpu,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
 
 
@@ -152,15 +121,17 @@ def run_engine_benchmark(
     backends=None,
     require_speedups: bool = True,
 ) -> dict:
-    """Time every backend against the seed loop and record the artifact.
+    """Time every core against the seed loop and record the artifact.
 
     Each (size, topology, workload) cell routes the same packets through
-    the seed reference once per repeat and through every backend,
+    the seed reference and through every core ``REPEATS`` times,
     interleaved so clock-frequency drift during the sweep cannot bias
-    one side of a pair.  Equivalence (schedule, stats, and serialized
-    plan payload) is asserted per row before the row is emitted.
+    one side of a pair.  Rows carry the median of each side's samples,
+    its interquartile range and the sample count.  Equivalence (schedule,
+    stats, and serialized plan payload) is asserted per row before the
+    row is emitted.
     """
-    backends = list(backends if backends is not None else available_backends())
+    backends = list(backends if backends is not None else ENGINE_BACKENDS)
     cores = {name: resolve_backend(name) for name in backends}
     rows = []
     for n in sizes:
@@ -170,22 +141,22 @@ def run_engine_benchmark(
                 n, seed=WORKLOAD_SEED + n
             ):
                 max_steps = 16 * (10 * topo.diameter + 10 * n)
-                repeats = 5 if n <= 1024 else 1
-                seed_s = math.inf
-                times = dict.fromkeys(backends, math.inf)
+                seed_samples = []
+                samples = {name: [] for name in backends}
                 outputs = {}
-                for _ in range(repeats):
+                for _ in range(REPEATS):
                     t0 = time.perf_counter()
                     ref_steps, ref_stats = reference_route_core(
                         topo, srcs, dsts, router, max_steps
                     )
-                    seed_s = min(seed_s, time.perf_counter() - t0)
+                    seed_samples.append(time.perf_counter() - t0)
                     for name in backends:
                         t0 = time.perf_counter()
                         outputs[name] = cores[name](
                             topo, srcs, dsts, router, max_steps
                         )
-                        times[name] = min(times[name], time.perf_counter() - t0)
+                        samples[name].append(time.perf_counter() - t0)
+                seed_s, seed_iqr = _spread(seed_samples)
                 ref_blob = _plan_blob(ref_steps, ref_stats)
                 # One certificate per cell: every backend reports the same
                 # (bit-identical) step count, so certify the reference once
@@ -207,6 +178,7 @@ def run_engine_benchmark(
                         f"{name} plan payload differs on "
                         f"{topo_name} n={n} {workload}"
                     )
+                    engine_s, engine_iqr = _spread(samples[name])
                     rows.append(
                         {
                             "topology": topo_name,
@@ -216,9 +188,12 @@ def run_engine_benchmark(
                             "packets": len(srcs),
                             "steps": stats.steps,
                             "total_hops": stats.total_hops,
-                            "engine_seconds": round(times[name], 6),
+                            "samples": REPEATS,
+                            "engine_seconds": round(engine_s, 6),
+                            "engine_iqr_seconds": round(engine_iqr, 6),
                             "seed_engine_seconds": round(seed_s, 6),
-                            "speedup": round(seed_s / times[name], 2),
+                            "seed_engine_iqr_seconds": round(seed_iqr, 6),
+                            "speedup": round(seed_s / engine_s, 2),
                             "equivalent": True,
                             "bound": cert.bound,
                             "bound_ratio": round(cert.ratio, 2)
@@ -231,17 +206,21 @@ def run_engine_benchmark(
     artifact = {
         "benchmark": "bench_engine_backends.py::run_engine_benchmark",
         "engines": {
-            name: f"repro.sim backend {name!r}" for name in backends
+            name: f"repro.sim core {name!r}" for name in backends
         },
         "baseline": "repro.sim._reference.reference_route_core (seed loop)",
         "equivalence": (
             "per row: schedule, RoutingStats and serialized CachedPlan "
             "payload bit-identical to the seed loop (equivalent: true)"
         ),
+        "timing": (
+            f"per side and cell: median of {REPEATS} interleaved runs, "
+            "with their interquartile range"
+        ),
+        "host": _host(),
         "sizes": list(sizes),
         "backends": backends,
         "rows": rows,
-        "gpu_crossover": _gpu_crossover(sizes, rows),
     }
     if 4096 in sizes:
         best = {}
@@ -272,7 +251,7 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="record BENCH_engine.json across engine backends"
+        description="record BENCH_engine.json across engine cores"
     )
     parser.add_argument(
         "--sizes",
@@ -285,7 +264,7 @@ def main(argv=None) -> int:
         "--backends",
         nargs="+",
         default=None,
-        help="backends to time (default: every available backend)",
+        help="cores to time (default: both)",
     )
     parser.add_argument("--output", type=Path, default=ENGINE_ARTIFACT)
     parser.add_argument(

@@ -1,7 +1,7 @@
 """Degraded-mode overhead: routing cost vs injected fault severity.
 
-Sweeps the ``repro.faults`` fault grid over the engine — through **every
-degraded-capable backend** — and records how the measured schedule
+Sweeps the ``repro.faults`` fault grid over the engine — through **both
+engine cores' degraded loops** — and records how the measured schedule
 degrades as the machine does:
 
 * **link-failure fractions** on the point-to-point topologies — steps and
@@ -49,7 +49,7 @@ FAULT_SEED = 99
 from repro.bounds import certify
 from repro.faults import FaultModel, UnroutableError
 from repro.networks import Hypercube, Hypermesh2D, Mesh2D, Torus2D
-from repro.sim import available_backends, degraded_backends, route_demands
+from repro.sim import ENGINE_BACKENDS, route_demands
 
 FAULTS_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_faults.json"
 FAULTS_SIZES = (64, 256)
@@ -62,13 +62,6 @@ DROP_PROBS = (0.0, 0.2, 0.4)
 SPEEDUP_SIZES = (4096,)
 SPEEDUP_FLOOR = 3.0
 PAIRED_REPEATS = 3
-
-
-def _bench_backends():
-    """Degraded-capable backends actually usable on this host, indexed
-    first (it is the reference side of every timing pair)."""
-    usable = set(available_backends())
-    return [b for b in degraded_backends() if b in usable]
 
 
 def _point_to_point(n: int):
@@ -215,7 +208,8 @@ def run_faults_benchmark(
     """Sweep the fault grid across degraded backends, assert the
     determinism/conservation/monotone/equivalence contracts on every row,
     write the artifact and return it."""
-    backends = _bench_backends()
+    # Indexed first: it is the reference side of every timing pair.
+    backends = list(ENGINE_BACKENDS)
     rows = []
     for n in sizes:
         for topo_name, topology in _point_to_point(n):

@@ -26,8 +26,7 @@ def _engine_sweep() -> CampaignSpec:
     structure-of-arrays cores; the two halves of the grid must report
     identical step counts (the backends are bit-identical by contract), so
     the sweep doubles as a coarse cross-backend consistency check at
-    campaign scale.  ``numba`` is deliberately absent: built-in campaigns
-    must run everywhere, optional dependencies included nowhere.
+    campaign scale.
     """
     return CampaignSpec.from_grid(
         "engine-sweep",
@@ -145,10 +144,7 @@ def _comm_avoiding() -> CampaignSpec:
 CHAOS_SWEEP_FRACTIONS = (0.0, 0.05, 0.1, 0.2)
 
 
-#: Degraded-capable backends for the chaos sweep's backend axis.  Like the
-#: engine sweep, ``numba`` is deliberately absent: built-in campaigns must
-#: run everywhere, optional dependencies included nowhere (``cupy`` is in
-#: any case fault-free only).
+#: Engine cores for the chaos sweep's backend axis.
 CHAOS_SWEEP_BACKENDS = ("indexed", "numpy")
 
 

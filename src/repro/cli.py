@@ -480,10 +480,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             else out.with_name(f"{out.stem}-{name}{out.suffix or '.jsonl'}")
         )
         try:
-            # Invalid arguments (a non-square n, an unknown workload,
-            # arbitration policy, or engine backend) exit 2 with the
-            # message on stderr — the documented CLI error convention —
-            # instead of escaping as tracebacks.
+            # Invalid arguments (a non-square n, an unknown workload or
+            # arbitration policy) exit 2 with the message on stderr — the
+            # documented CLI error convention — instead of escaping as
+            # tracebacks.
             topology = build_topology(name, args.n)
             sources, dests = build_workload(args.workload, args.n, args.seed)
         except ValueError as exc:
@@ -499,7 +499,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 topology,
                 list(zip(sources, dests)),
                 arbitration=args.arbitration,
-                backend=args.backend,
                 on_step=probe,
                 timing=True,  # tracing opts into host timing explicitly
             )
@@ -630,9 +629,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     links, so there the sweep degrades 0, 1, 2, ... nets to serialized
     sub-transfers instead.  Partitioned cells are reported as
     ``unroutable`` rows, not errors — the feasibility cliff is the result.
-    ``--backend`` picks the degraded engine core (``indexed`` or the
-    vectorized ``numpy``/``numba``); every backend is bit-identical, so
-    the table is the same — only the wall-clock changes.
     """
     from .faults import FaultModel, UnroutableError
     from .networks.base import ChannelModel
@@ -690,14 +686,14 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             routed = route_demands(
                 topology, demands,
                 fault_model=model if model.enabled else None,
-                backend=args.backend,
             )
         except UnroutableError as exc:
             rows.append([label, "unroutable", "-", "-", "-", str(exc)])
             continue
         except ValueError as exc:
-            # An unknown or fault-incapable backend exits 2 with the
-            # message on stderr, like every other invalid argument here.
+            # A fault the machine cannot hold (more degraded nets than it
+            # has) exits 2 with the message on stderr, like every other
+            # invalid argument here.
             print(f"error: {exc}", file=sys.stderr)
             return 2
         s = routed.stats
@@ -706,8 +702,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         )
     print(
         f"{args.topology} n={args.n} {args.workload} seed={args.seed} "
-        f"fault-seed={args.fault_seed} drop-prob={args.drop_prob} "
-        f"backend={args.backend}"
+        f"fault-seed={args.fault_seed} drop-prob={args.drop_prob}"
     )
     print(format_table(
         [axis, "steps", "delivered", "dropped", "retried", "note"], rows
@@ -1191,10 +1186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--arbitration", default="overtaking",
                    help="engine arbitration policy (overtaking | fifo)")
-    p.add_argument("--backend", default="indexed",
-                   help="engine backend (indexed | numpy | numba | cupy); "
-                        "all are bit-identical, this only changes routing "
-                        "speed (cupy is fault-free only)")
     p.add_argument("--out", default="trace.jsonl",
                    help="trace path ('all' appends -<topology> to the stem)")
     p.add_argument("--summary", action="store_true",
@@ -1257,9 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-transmission intermittent drop probability")
     p.add_argument("--retry-limit", type=int, default=None,
                    help="failed transmissions before a packet is dropped")
-    p.add_argument("--backend", default="indexed",
-                   help="degraded engine backend (indexed | numpy | numba); "
-                        "bit-identical, this only changes routing speed")
     p.set_defaults(func=_cmd_faults)
 
     p = sub.add_parser(

@@ -32,9 +32,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
+from ..networks.degraded import SurvivingGraph, surviving_adjacency
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..networks.base import Topology
-    from ..networks.degraded import SurvivingGraph
 
 __all__ = ["FaultModel", "ResolvedFaults", "UnroutableError", "resolve_faults"]
 
@@ -317,8 +318,6 @@ class ResolvedFaults:
         instance (weakref-checked), so one resolved set never serves a
         different machine's structure.
         """
-        from ..networks.degraded import SurvivingGraph, surviving_adjacency
-
         entry = self._cache.get(id(topology))
         if entry is not None and entry[0]() is topology:
             return entry[1]

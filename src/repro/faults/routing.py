@@ -181,8 +181,10 @@ class FaultAwareRouter:
         dst = np.asarray(dest, dtype=np.int64)
         faults = self._faults
         if self._down_nodes_arr is not None:
-            dst_down = np.isin(dst, self._down_nodes_arr)
-            cur_down = np.isin(cur, self._down_nodes_arr)
+            # kind="table" skips np.unique (which imports numpy.ma on
+            # NumPy 2.x); the table spans at most the node ids.
+            dst_down = np.isin(dst, self._down_nodes_arr, kind="table")
+            cur_down = np.isin(cur, self._down_nodes_arr, kind="table")
             bad = dst_down | cur_down
             if bad.any():
                 i = int(np.argmax(bad))  # scalar check order per packet
@@ -306,8 +308,8 @@ class FaultAwareRouter:
         dst = np.asarray(dests, dtype=np.int64)
         bad = None
         if self._down_nodes_arr is not None:
-            src_down = np.isin(src, self._down_nodes_arr)
-            dst_down = np.isin(dst, self._down_nodes_arr)
+            src_down = np.isin(src, self._down_nodes_arr, kind="table")
+            dst_down = np.isin(dst, self._down_nodes_arr, kind="table")
             bad = src_down | dst_down
         if self._structural and src.size:
             table, dest_row = self._graph.dest_table(dst)

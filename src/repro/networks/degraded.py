@@ -288,7 +288,11 @@ class SurvivingGraph:
         ``d``; missing destinations are BFS'd in one bit-parallel batch
         and appended.  Both arrays are shared (cached) across calls.
         """
-        dests = np.unique(np.asarray(dests, dtype=np.int64))
+        # Sorted distinct destinations by boolean scatter: np.unique's
+        # sort is O(k log k), and on NumPy 2.x it also imports numpy.ma.
+        seen = np.zeros(self.num_nodes, dtype=bool)
+        seen[np.asarray(dests, dtype=np.int64)] = True
+        dests = np.flatnonzero(seen)
         missing = dests[self._dest_row[dests] < 0]
         if missing.size:
             block = batched_surviving_distances(

@@ -58,8 +58,8 @@ ENDPOINTS = (
         "/v1/route",
         "route",
         "Submit a routing job (topology + demands/workload + arbitration + "
-        "backend + optional fault config); returns the plan digest, routing "
-        "stats, and whether it was served `warm`, `cold`, or `coalesced`.",
+        "optional fault config); returns the plan digest, routing stats, "
+        "and whether it was served `warm`, `cold`, or `coalesced`.",
     ),
     (
         "GET",

@@ -84,7 +84,6 @@ class RouteRequest:
     demands: tuple[tuple[int, int], ...] | None = None
     router: str = "auto"
     arbitration: str = "overtaking"
-    backend: str = "indexed"
     fault: dict | None = None
     timeout: float | None = None
 
@@ -97,7 +96,6 @@ class RouteRequest:
             "demands",
             "router",
             "arbitration",
-            "backend",
             "fault",
             "timeout",
         }
@@ -107,7 +105,6 @@ class RouteRequest:
     def from_body(cls, body: Mapping) -> "RouteRequest":
         """Validate a JSON body; :class:`ValidationError` names every
         offending field at once (clients fix one round trip, not N)."""
-        from ..sim.backends import ENGINE_BACKENDS
         from ..sim.engine import ARBITRATION_POLICIES
         from ..sim.task import TOPOLOGY_BUILDERS, WORKLOAD_BUILDERS
 
@@ -167,12 +164,6 @@ class RouteRequest:
                 f"unknown policy {arbitration!r}; known: {ARBITRATION_POLICIES}"
             )
 
-        backend = body.get("backend", "indexed")
-        if backend not in ENGINE_BACKENDS:
-            errors["backend"] = (
-                f"unknown backend {backend!r}; known: {tuple(ENGINE_BACKENDS)}"
-            )
-
         fault = body.get("fault")
         if fault is not None:
             if not isinstance(fault, dict):
@@ -202,7 +193,6 @@ class RouteRequest:
             demands=parsed_demands,
             router="auto",
             arbitration=arbitration,
-            backend=backend,
             fault=dict(fault) if fault else None,
             timeout=float(timeout) if timeout is not None else None,
         )
@@ -244,8 +234,8 @@ class RouteRequest:
         as canonical JSON, a hashable form that never merges two bodies
         the fault model could tell apart — plus
         :data:`~repro.sim.plancache.PLAN_SCHEMA_VERSION` read at call
-        time, so a schema bump re-keys.  ``backend`` and ``timeout`` are
-        absent: neither reaches the plan key.
+        time, so a schema bump re-keys.  ``timeout`` is absent: it does not
+        reach the plan key.
         """
         if self.demands is not None:
             return None
@@ -279,7 +269,6 @@ class RouteRequest:
             if self.demands is not None
             else None,
             "arbitration": self.arbitration,
-            "backend": self.backend,
             "fault": self.fault,
             "plan_root": plan_root,
         }
@@ -381,7 +370,6 @@ def execute_route(params: dict) -> dict:
         topology,
         pairs,
         arbitration=params.get("arbitration", "overtaking"),
-        backend=params.get("backend", "indexed"),
         cache=cache if cache is not None else False,
         fault_model=fault_model,
     )

@@ -3,9 +3,8 @@ routing engine, and the SIMD compute/communicate machine."""
 
 from .backends import (
     ENGINE_BACKENDS,
-    BackendSpec,
-    available_backends,
-    degraded_backends,
+    NUMPY_MIN_PACKETS,
+    choose_backend,
     numpy_route_core,
     resolve_backend,
     resolve_degraded_backend,
@@ -66,9 +65,8 @@ __all__ = [
     "router_for",
     "ARBITRATION_POLICIES",
     "ENGINE_BACKENDS",
-    "BackendSpec",
-    "available_backends",
-    "degraded_backends",
+    "NUMPY_MIN_PACKETS",
+    "choose_backend",
     "resolve_backend",
     "resolve_degraded_backend",
     "numpy_route_core",

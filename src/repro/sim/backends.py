@@ -1,14 +1,14 @@
-"""Pluggable routing-engine backends: one arbitration contract, several cores.
+"""The engine's two cores: one arbitration contract, two step loops.
 
 The engine's observable behaviour is contractual — bit-identical
 ``CommSchedule`` step dicts, bit-identical :class:`~repro.sim.stats.
 RoutingStats`, and therefore bit-identical plan-cache blobs — no matter
-which core computed them.  This module holds the backend seam:
+which core computed them.  This module holds the seam between them:
 
-``"indexed"`` (default)
-    The production loop in :func:`repro.sim.engine._route_core`: active-node
+``"indexed"``
+    The loop in :func:`repro.sim.engine._route_core`: active-node
     worklist, intrusive linked-list queues, per-packet hop caches.  Python
-    control flow, O(in-flight) per step.
+    control flow, O(in-flight) per step; cheapest on small jobs.
 
 ``"numpy"``
     The structure-of-arrays core in this module: packet positions,
@@ -17,21 +17,24 @@ which core computed them.  This module holds the backend seam:
     arbitration becomes a stable argsort (first proposal per channel code
     wins), hypergraph inject/deliver arbitration an iterated round of the
     same kernel, and the FIFO queue discipline one stable argsort of the
-    survivor ordering per step.
+    survivor ordering per step.  Its per-step NumPy calls cost a fixed
+    overhead that pays off once a job carries enough packets.
 
-``"numba"``
-    The same structure-of-arrays step loop with its hottest kernel (the
-    first-claim-wins mask) compiled by :mod:`numba`.  Optional: resolving
-    it without numba installed raises a clear :class:`ValueError`, and the
-    test suite skips it when the package is missing.
+Both cores have a degraded twin in :mod:`repro.sim.degraded` for runs
+with an enabled fault model.  The engine picks the core itself with
+:func:`choose_backend`: a job of :data:`NUMPY_MIN_PACKETS` packets or more
+runs on the NumPy core, a smaller one on the indexed loop, fault-free or
+faulted, under either arbitration policy.  Callers may still name a core
+(``backend="indexed"`` or ``"numpy"``); the equivalence suites and the
+benchmarks that time each core do.
 
-Every backend must reproduce the seed loop in :mod:`repro.sim._reference`
+Every core must reproduce the seed loop in :mod:`repro.sim._reference`
 exactly — same grant order (so cached plans record identical insertion
 order), same ``blocked_moves`` accounting, same error messages.  The
 equivalence suite (``tests/sim/test_backends.py``) and the differential
 fuzz harness (``tests/properties/test_engine_fuzz.py``) enforce this;
 ``benchmarks/bench_engine_backends.py`` re-checks it per benchmark row
-while recording the per-backend ``BENCH_engine.json`` artifact.
+while recording the per-core ``BENCH_engine.json`` artifact.
 
 Why the arbitration vectorizes
 ------------------------------
@@ -56,8 +59,6 @@ priority-ordered proposals; FIFO runs trade the vector win for exactness.
 
 from __future__ import annotations
 
-import importlib.util
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -69,61 +70,40 @@ from .schedule import ScheduleError
 from .stats import RoutingStats
 
 __all__ = [
-    "BackendSpec",
     "ENGINE_BACKENDS",
-    "available_backends",
-    "degraded_backends",
+    "NUMPY_MIN_PACKETS",
+    "choose_backend",
     "resolve_backend",
     "resolve_degraded_backend",
     "numpy_route_core",
 ]
 
 
-@dataclass(frozen=True)
-class BackendSpec:
-    """One engine backend's registry entry.
-
-    ``degraded`` records whether the backend also implements the
-    fault-injected (``fault_model=``) execution path; the generated
-    backend table in docs/API.md renders this column, and
-    :func:`resolve_degraded_backend` consults it for its error message.
-    """
-
-    description: str
-    degraded: bool
-
-
-#: Registry of engine backends: name -> :class:`BackendSpec`.  The
-#: ``docs/API.md`` backend table is generated from this mapping by
-#: ``tools/check_docs.py`` (drift-checked in CI), so edit entries here
-#: and run ``python tools/check_docs.py --write``.
-ENGINE_BACKENDS: dict[str, BackendSpec] = {
-    "indexed": BackendSpec(
-        "default — the indexed Python arbitration loop in "
-        "`repro.sim.engine` (active-node worklist, linked-list queues, "
-        "per-packet hop caches)",
-        degraded=True,
+#: The engine cores: name -> description.  The ``docs/API.md`` core table
+#: is generated from this mapping by ``tools/check_docs.py`` (drift-checked
+#: in CI), so edit entries here and run ``python tools/check_docs.py
+#: --write``.
+ENGINE_BACKENDS: dict[str, str] = {
+    "indexed": (
+        "the indexed Python arbitration loop in `repro.sim.engine` "
+        "(active-node worklist, linked-list queues, per-packet hop "
+        "caches); runs jobs of fewer than `NUMPY_MIN_PACKETS` packets"
     ),
-    "numpy": BackendSpec(
+    "numpy": (
         "structure-of-arrays core: positions, hops, and queue order in "
         "flat `int64` arrays, arbitration by stable argsort, whole steps "
-        "advanced per NumPy call",
-        degraded=True,
-    ),
-    "numba": BackendSpec(
-        "the structure-of-arrays core with its first-claim-wins kernel "
-        "JIT-compiled; requires the optional `numba` package and is "
-        "skipped when it is missing",
-        degraded=True,
-    ),
-    "cupy": BackendSpec(
-        "the structure-of-arrays core with its first-claim-wins kernel "
-        "offloaded to a CUDA GPU via the optional `cupy` package; "
-        "best-effort — requires cupy *and* a visible device, fault-free "
-        "runs only",
-        degraded=False,
+        "advanced per NumPy call; runs jobs of `NUMPY_MIN_PACKETS` "
+        "packets or more"
     ),
 }
+
+#: Packet count from which the engine runs a job on the NumPy core.
+#: Measured engine-only (the table is in docs/API.md): from 1,024 packets
+#: up the NumPy core wins on every topology family, workload, policy and
+#: fault mix; below, the indexed loop wins every N=64 job and most small
+#: sparse ones, while NumPy already wins some jobs of 64 to 256 packets.
+#: One conservative constant, not a table keyed on topology or workload.
+NUMPY_MIN_PACKETS = 1024
 
 #: ``next_hop`` returned ``None`` for a queued packet (the router considers
 #: it home): mirror the reference sweep's skip-forever.  Same sentinel as
@@ -131,54 +111,28 @@ ENGINE_BACKENDS: dict[str, BackendSpec] = {
 _NO_HOP = -2
 
 
-def numba_available() -> bool:
-    """Whether the optional ``numba`` package can be imported."""
-    return importlib.util.find_spec("numba") is not None
+def choose_backend(packets: int) -> str:
+    """The core the engine runs a job of ``packets`` packets on.
 
-
-def cupy_available() -> bool:
-    """Whether ``cupy`` is importable *and* a CUDA device is visible.
-
-    Best-effort by design: any import or driver failure reads as "no
-    GPU" rather than an exception, so hosts without CUDA simply don't
-    list the backend.
+    One rule for fault-free and faulted runs and both arbitration
+    policies: ``"numpy"`` from :data:`NUMPY_MIN_PACKETS` packets up,
+    ``"indexed"`` below.  Both cores are bit-identical, so the choice
+    changes host time only.
     """
-    if importlib.util.find_spec("cupy") is None:
-        return False
-    try:  # pragma: no cover - needs cupy installed
-        import cupy
-
-        return int(cupy.cuda.runtime.getDeviceCount()) > 0
-    except Exception:  # pragma: no cover - driver/toolkit failures
-        return False
+    return "numpy" if packets >= NUMPY_MIN_PACKETS else "indexed"
 
 
-def available_backends() -> tuple[str, ...]:
-    """The backends resolvable in this environment, registry order."""
-    out = []
-    for name in ENGINE_BACKENDS:
-        if name == "numba" and not numba_available():
-            continue
-        if name == "cupy" and not cupy_available():
-            continue
-        out.append(name)
-    return tuple(out)
-
-
-def degraded_backends() -> tuple[str, ...]:
-    """The backends that implement ``fault_model=`` runs, registry order."""
-    return tuple(
-        name for name in ENGINE_BACKENDS if ENGINE_BACKENDS[name].degraded
+def _unknown_backend(backend: str) -> ValueError:
+    return ValueError(
+        f"unknown engine backend {backend!r}; "
+        f"expected one of {tuple(ENGINE_BACKENDS)}"
     )
 
 
 def resolve_backend(backend: str) -> Callable:
-    """Resolve a backend name to its ``_route_core``-compatible callable.
+    """Resolve a core name to its ``_route_core``-compatible callable.
 
-    Raises :class:`ValueError` for unknown names, and for ``"numba"`` /
-    ``"cupy"`` when the optional package (or, for cupy, the GPU) is not
-    present — the message names the backends that *are* available so CLI
-    and API callers get an actionable error.
+    Raises :class:`ValueError` naming the known cores for any other name.
     """
     if backend == "indexed":
         from .engine import _route_core
@@ -186,38 +140,16 @@ def resolve_backend(backend: str) -> Callable:
         return _route_core
     if backend == "numpy":
         return numpy_route_core
-    if backend == "numba":
-        if not numba_available():
-            raise ValueError(
-                "engine backend 'numba' needs the optional numba package, "
-                "which is not installed; available backends: "
-                f"{available_backends()}"
-            )
-        return _numba_route_core()
-    if backend == "cupy":
-        if not cupy_available():
-            raise ValueError(
-                "engine backend 'cupy' needs the optional cupy package "
-                "and a visible CUDA device, which this host does not "
-                f"have; available backends: {available_backends()}"
-            )
-        return _cupy_route_core()  # pragma: no cover - needs a GPU
-    raise ValueError(
-        f"unknown engine backend {backend!r}; "
-        f"expected one of {tuple(ENGINE_BACKENDS)}"
-    )
+    raise _unknown_backend(backend)
 
 
 def resolve_degraded_backend(backend: str) -> Callable:
-    """Resolve a backend name for a **fault-injected** run.
+    """Resolve a core name for a **fault-injected** run.
 
     The returned callable has :func:`repro.sim.degraded.
     route_core_degraded`'s signature (the fault model and ``on_fault``
     ride along).  Unknown names raise the *same* named :class:`ValueError`
-    the fault-free :func:`resolve_backend` raises; a known backend whose
-    registry entry says ``degraded=False`` (cupy) raises a ValueError
-    naming the degraded-capable backends instead of silently falling back
-    to the indexed core.
+    the fault-free :func:`resolve_backend` raises.
     """
     if backend == "indexed":
         from .degraded import route_core_degraded
@@ -227,23 +159,7 @@ def resolve_degraded_backend(backend: str) -> Callable:
         from .degraded import numpy_degraded_core
 
         return numpy_degraded_core
-    if backend == "numba":
-        if not numba_available():
-            raise ValueError(
-                "engine backend 'numba' needs the optional numba package, "
-                "which is not installed; available backends: "
-                f"{available_backends()}"
-            )
-        return _numba_degraded_core()
-    if backend in ENGINE_BACKENDS:
-        raise ValueError(
-            f"engine backend {backend!r} does not support fault_model= "
-            f"runs; degraded-capable backends: {degraded_backends()}"
-        )
-    raise ValueError(
-        f"unknown engine backend {backend!r}; "
-        f"expected one of {tuple(ENGINE_BACKENDS)}"
-    )
+    raise _unknown_backend(backend)
 
 
 def _first_claim_wins(codes: np.ndarray) -> np.ndarray:
@@ -264,6 +180,29 @@ def _first_claim_wins(codes: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _claimed(codes: np.ndarray, granted: np.ndarray) -> np.ndarray:
+    """Elementwise: is ``codes[i]`` one of the (non-empty) ``granted``
+    codes?  ``np.isin``'s mask by binary search over the sorted grants:
+    ``np.isin`` itself sorts through ``np.unique`` (which on NumPy 2.x
+    imports ``numpy.ma``, a cost a forked service worker repays per job),
+    and its ``kind="table"`` allocates one byte per code in the grants'
+    range — up to ``nets × n``, 8 MB on an 8^4 hypermesh."""
+    ranked = np.sort(granted)
+    at = np.minimum(np.searchsorted(ranked, codes), ranked.size - 1)
+    return ranked[at] == codes
+
+
+def _step_moves(
+    ints: list[int], pids: np.ndarray, hops: np.ndarray
+) -> dict[int, int]:
+    """One step's ``{packet: hop}`` dict, keyed and valued by the run's
+    shared ``ints`` (``ints[i] == i``).  ``tolist()`` makes two fresh int
+    objects per move, which a recorded schedule would keep alive for its
+    whole life; the indexed loop reuses its ints, and so does this."""
+    get = ints.__getitem__
+    return dict(zip(map(get, pids.tolist()), map(get, hops.tolist())))
+
+
 def numpy_route_core(
     topology: Topology,
     sources: Sequence[int],
@@ -274,7 +213,6 @@ def numpy_route_core(
     arbitration: str = "overtaking",
     on_step=None,
     timing: bool = False,
-    _first_claim: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[list[dict[int, int]], RoutingStats]:
     """Structure-of-arrays arbitration loop (the ``"numpy"`` backend).
 
@@ -285,9 +223,6 @@ def numpy_route_core(
     stable argsort of ``concat(stayers in old order, movers in grant
     order)`` on position: stayers keep their relative order ahead of the
     packets that just arrived, exactly the reference's ``deque`` semantics.
-
-    ``_first_claim`` swaps the arbitration kernel (the ``"numba"`` backend
-    passes its compiled twin); leave it ``None`` for the NumPy kernel.
     """
     from .engine import ARBITRATION_POLICIES
 
@@ -296,7 +231,6 @@ def numpy_route_core(
             f"unknown arbitration policy {arbitration!r}; "
             f"expected one of {ARBITRATION_POLICIES}"
         )
-    first_claim = _first_claim or _first_claim_wins
     fifo = arbitration == "fifo"
     n = topology.num_nodes
     hypergraph = topology.channel_model is ChannelModel.HYPERGRAPH_NET
@@ -315,6 +249,7 @@ def numpy_route_core(
     npk = len(sources)
     position = np.array(sources, dtype=np.int64)
     dest = np.array(dests, dtype=np.int64)
+    ints = list(range(max(npk, n)))
 
     # Priority order: node index ascending, FIFO position within the node.
     # Initial FIFO position is packet-id order (the reference fills queues
@@ -387,13 +322,15 @@ def numpy_route_core(
             granted_parts = []
             cand = prop_idx
             while cand.size:
-                win = first_claim(inject[cand]) & first_claim(deliver[cand])
+                win = _first_claim_wins(inject[cand]) & _first_claim_wins(
+                    deliver[cand]
+                )
                 grant = cand[win]
                 granted_parts.append(grant)
                 rest = cand[~win]
                 if rest.size == 0:
                     break
-                conflict = np.isin(inject[rest], inject[grant]) | np.isin(
+                conflict = _claimed(inject[rest], inject[grant]) | _claimed(
                     deliver[rest], deliver[grant]
                 )
                 blocked += int(np.count_nonzero(conflict))
@@ -406,7 +343,7 @@ def numpy_route_core(
         else:
             prop_idx = np.flatnonzero(proposing)
             codes = pos[prop_idx] * np.int64(n) + hops[prop_idx]
-            win = first_claim(codes)
+            win = _first_claim_wins(codes)
             granted_idx = prop_idx[win]
             blocked += int(prop_idx.size - granted_idx.size)
 
@@ -427,7 +364,7 @@ def numpy_route_core(
         in_flight = int(order.size)
         delivered += int(np.count_nonzero(arrived))
 
-        moves = dict(zip(grant_pids.tolist(), grant_hops.tolist()))
+        moves = _step_moves(ints, grant_pids, grant_hops)
         steps.append(moves)
         stats.steps += 1
         stats.total_hops += len(moves)
@@ -499,162 +436,3 @@ def _fifo_arbitrate(
             used_links.add(link)
         granted.append(i)
     return np.asarray(granted, dtype=np.int64), blocked
-
-
-# --------------------------------------------------------------------------
-# The optional numba backend: the same step loop with the first-claim-wins
-# kernel compiled.  Resolution is lazy so importing this module never pulls
-# numba in; the compiled kernel is cached for the process.
-
-_NUMBA_FIRST_CLAIM = None
-
-
-def _numba_first_claim():
-    global _NUMBA_FIRST_CLAIM
-    if _NUMBA_FIRST_CLAIM is None:
-        import numba
-
-        @numba.njit(cache=True)
-        def first_claim(codes):  # pragma: no cover - needs numba installed
-            m = codes.shape[0]
-            perm = np.argsort(codes, kind="mergesort")
-            mask = np.zeros(m, dtype=np.bool_)
-            for j in range(m):
-                if j == 0 or codes[perm[j]] != codes[perm[j - 1]]:
-                    mask[perm[j]] = True
-            return mask
-
-        _NUMBA_FIRST_CLAIM = first_claim
-    return _NUMBA_FIRST_CLAIM
-
-
-def _numba_route_core():
-    """Build the ``"numba"`` backend callable (numba must be installed)."""
-    kernel = _numba_first_claim()
-
-    def numba_route_core(
-        topology,
-        sources,
-        dests,
-        router,
-        max_steps,
-        *,
-        arbitration: str = "overtaking",
-        on_step=None,
-        timing: bool = False,
-    ):
-        return numpy_route_core(
-            topology,
-            sources,
-            dests,
-            router,
-            max_steps,
-            arbitration=arbitration,
-            on_step=on_step,
-            timing=timing,
-            _first_claim=kernel,
-        )
-
-    return numba_route_core
-
-
-def _numba_degraded_core():
-    """The ``"numba"`` fault backend: the SoA degraded loop with the
-    compiled first-claim kernel (numba must be installed)."""
-    from .degraded import numpy_degraded_core
-
-    kernel = _numba_first_claim()
-
-    def numba_degraded_core(
-        topology,
-        sources,
-        dests,
-        router,
-        max_steps,
-        fault_model,
-        *,
-        arbitration: str = "overtaking",
-        on_step=None,
-        on_fault=None,
-        timing: bool = False,
-    ):  # pragma: no cover - needs numba installed
-        return numpy_degraded_core(
-            topology,
-            sources,
-            dests,
-            router,
-            max_steps,
-            fault_model,
-            arbitration=arbitration,
-            on_step=on_step,
-            on_fault=on_fault,
-            timing=timing,
-            _first_claim=kernel,
-        )
-
-    return numba_degraded_core
-
-
-# --------------------------------------------------------------------------
-# The optional cupy backend: the same step loop with the first-claim-wins
-# kernel evaluated on a CUDA device.  Stability of the grant order is
-# guaranteed by sorting a composite (code, position) key instead of relying
-# on the device sort algorithm being stable; codes here are < n^2 and
-# proposal counts are bounded by the packet count, so the composite key
-# fits int64 with orders of magnitude to spare.  Everything below is
-# exercised only on hosts with a GPU (the CI leg is best-effort,
-# continue-on-error) — on this seam what matters is that resolution without
-# a device fails loudly and availability reporting stays honest.
-
-_CUPY_FIRST_CLAIM = None
-
-
-def _cupy_first_claim():  # pragma: no cover - needs cupy + a device
-    global _CUPY_FIRST_CLAIM
-    if _CUPY_FIRST_CLAIM is None:
-        import cupy
-
-        def first_claim(codes):
-            dev = cupy.asarray(codes)
-            m = dev.shape[0]
-            keys = dev * cupy.int64(m) + cupy.arange(m, dtype=cupy.int64)
-            perm = cupy.argsort(keys)
-            ranked = dev[perm]
-            first = cupy.ones(m, dtype=cupy.bool_)
-            first[1:] = ranked[1:] != ranked[:-1]
-            mask = cupy.zeros(m, dtype=cupy.bool_)
-            mask[perm] = first
-            return cupy.asnumpy(mask)
-
-        _CUPY_FIRST_CLAIM = first_claim
-    return _CUPY_FIRST_CLAIM
-
-
-def _cupy_route_core():  # pragma: no cover - needs cupy + a device
-    """Build the ``"cupy"`` backend callable (cupy + GPU required)."""
-    kernel = _cupy_first_claim()
-
-    def cupy_route_core(
-        topology,
-        sources,
-        dests,
-        router,
-        max_steps,
-        *,
-        arbitration: str = "overtaking",
-        on_step=None,
-        timing: bool = False,
-    ):
-        return numpy_route_core(
-            topology,
-            sources,
-            dests,
-            router,
-            max_steps,
-            arbitration=arbitration,
-            on_step=on_step,
-            timing=timing,
-            _first_claim=kernel,
-        )
-
-    return cupy_route_core

@@ -2,10 +2,11 @@
 
 When an **enabled** :class:`~repro.faults.model.FaultModel` reaches
 :func:`~repro.sim.engine.route_permutation` / ``route_demands``, routing is
-handed to the selected backend's degraded core: :func:`route_core_degraded`
+handed to the degraded twin of the core the engine picked (see
+:func:`repro.sim.backends.choose_backend`): :func:`route_core_degraded`
 (the ``"indexed"`` loop below) or its structure-of-arrays twin
-:func:`numpy_degraded_core` (the ``"numpy"`` / ``"numba"`` backends), both
-bit-identical by contract.  The split keeps the fault-free hot path
+:func:`numpy_degraded_core` (``"numpy"``), bit-identical by contract.  The
+split keeps the fault-free hot path
 untouched (a disabled or absent model never comes here — that is the
 bit-identical no-op contract) and keeps the indexed loop simple enough to
 audit: it mirrors the reference engine's node-order-then-FIFO arbitration
@@ -285,9 +286,8 @@ def numpy_degraded_core(
     on_step=None,
     on_fault: FaultCallback | None = None,
     timing: bool = False,
-    _first_claim=None,
 ) -> tuple[list[dict[int, int]], RoutingStats]:
-    """Structure-of-arrays degraded loop (the ``"numpy"`` fault backend).
+    """Structure-of-arrays degraded loop (the ``"numpy"`` fault core).
 
     Same signature, semantics, and error messages as
     :func:`route_core_degraded`; bit-identical output — schedules, step
@@ -312,11 +312,8 @@ def numpy_degraded_core(
       — the identical per-packet hashes the indexed core draws), then
       applies retries and drops in grant order so ``on_fault`` observers
       see the exact event sequence the indexed core emits.
-
-    ``_first_claim`` swaps the arbitration kernel (the ``"numba"`` fault
-    backend passes its compiled twin); leave it ``None`` for NumPy's.
     """
-    from .backends import _NO_HOP, _first_claim_wins
+    from .backends import _NO_HOP, _claimed, _first_claim_wins, _step_moves
     from .engine import ARBITRATION_POLICIES
 
     if arbitration not in ARBITRATION_POLICIES:
@@ -324,7 +321,6 @@ def numpy_degraded_core(
             f"unknown arbitration policy {arbitration!r}; "
             f"expected one of {ARBITRATION_POLICIES}"
         )
-    first_claim = _first_claim or _first_claim_wins
     fifo = arbitration == "fifo"
     n = topology.num_nodes
     hypergraph = topology.channel_model is ChannelModel.HYPERGRAPH_NET
@@ -355,6 +351,7 @@ def numpy_degraded_core(
     dest = np.array(dests, dtype=np.int64)
     attempts = np.zeros(npk, dtype=np.int64)
     retry_limit = fault_model.retry_limit
+    ints = list(range(max(npk, n)))
 
     queued = np.flatnonzero(position != dest)
     order = queued[np.argsort(position[queued], kind="mergesort")]
@@ -399,8 +396,10 @@ def numpy_degraded_core(
                     f"router proposed non-net hop {int(pos[i])} -> "
                     f"{int(hops[i])}"
                 )
+            # kind="table" skips np.unique (which imports numpy.ma on
+            # NumPy 2.x); the table spans only the degraded net ids.
             degraded_mask = (
-                np.isin(nets, degraded_arr)
+                np.isin(nets, degraded_arr, kind="table")
                 if degraded_arr.size
                 else np.zeros(in_flight, dtype=bool)
             )
@@ -431,9 +430,9 @@ def numpy_degraded_core(
             cand = prop_idx
             while cand.size:
                 win = (
-                    first_claim(inject[cand])
-                    & first_claim(deliver[cand])
-                    & first_claim(serial[cand])
+                    _first_claim_wins(inject[cand])
+                    & _first_claim_wins(deliver[cand])
+                    & _first_claim_wins(serial[cand])
                 )
                 grant = cand[win]
                 granted_parts.append(grant)
@@ -441,9 +440,9 @@ def numpy_degraded_core(
                 if rest.size == 0:
                     break
                 conflict = (
-                    np.isin(inject[rest], inject[grant])
-                    | np.isin(deliver[rest], deliver[grant])
-                    | np.isin(serial[rest], serial[grant])
+                    _claimed(inject[rest], inject[grant])
+                    | _claimed(deliver[rest], deliver[grant])
+                    | _claimed(serial[rest], serial[grant])
                 )
                 blocked += int(np.count_nonzero(conflict))
                 cand = rest[~conflict]
@@ -455,7 +454,7 @@ def numpy_degraded_core(
         else:
             prop_idx = np.flatnonzero(proposing)
             codes = pos[prop_idx] * np.int64(n) + hops[prop_idx]
-            win = first_claim(codes)
+            win = _first_claim_wins(codes)
             granted_idx = prop_idx[win]
             blocked += int(prop_idx.size - granted_idx.size)
 
@@ -509,7 +508,7 @@ def numpy_degraded_core(
         in_flight = int(order.size)
         delivered += int(np.count_nonzero(arrived))
 
-        moves = dict(zip(succ_pids.tolist(), succ_hops.tolist()))
+        moves = _step_moves(ints, succ_pids, succ_hops)
         steps.append(moves)
         stats.steps += 1
         stats.total_hops += len(moves)

@@ -81,9 +81,9 @@ Both entry points accept ``fault_model=`` (a
 :class:`~repro.faults.model.FaultModel`).  A model with nothing enabled is
 contractually a **no-op**: the engine takes the fault-free path above and
 output is bit-identical to passing no model (the fuzz suite enforces
-this).  An enabled model routes through the selected backend's *degraded*
-core instead (``"indexed"`` ->
-:func:`~repro.sim.degraded.route_core_degraded`, ``"numpy"``/``"numba"``
+this).  An enabled model routes through the picked core's *degraded*
+twin instead (``"indexed"`` ->
+:func:`~repro.sim.degraded.route_core_degraded`, ``"numpy"``
 -> :func:`~repro.sim.degraded.numpy_degraded_core`; bit-identical by
 contract) — minimal detours around dead links/nodes/nets, serialized
 sub-transfers on degraded hypermesh nets, and retry/drop semantics with
@@ -107,7 +107,7 @@ from ..faults.model import FaultModel
 from ..networks.base import ChannelModel, HypergraphTopology, Topology
 from ..routing.permutation import Permutation
 from . import plancache as _plancache
-from .backends import resolve_backend, resolve_degraded_backend
+from .backends import choose_backend, resolve_backend, resolve_degraded_backend
 from .degraded import FaultCallback
 from .routers import Router, router_for
 from .schedule import CommSchedule, ScheduleError
@@ -617,23 +617,23 @@ def _route_or_replay(
     cache,
     fault_model: FaultModel | None = None,
     on_fault: FaultCallback | None = None,
-    backend: str = "indexed",
+    backend: str | None = None,
 ) -> tuple[list[dict[int, int]], RoutingStats]:
     """Cache-aware front of the routing cores: replay a recorded plan on a
     hit, route live (and record) on a miss.
 
-    ``backend`` selects the arbitration core (see
-    :mod:`repro.sim.backends`); it is resolved *before* the cache is
-    consulted so unknown names fail fast instead of being masked by a hit.
-    It is deliberately **not** part of the plan key — all backends are
-    bit-identical by contract, so a plan recorded by one replays for all.
+    ``backend=None`` runs the core :func:`~repro.sim.backends.
+    choose_backend` picks for the job's packet count; a name forces that
+    core.  It is resolved *before* the cache is consulted so unknown names
+    fail fast instead of being masked by a hit.  It is deliberately
+    **not** part of the plan key — the cores are bit-identical by
+    contract, so a plan recorded by one replays for all.
 
-    An *enabled* fault model routes through the backend's **degraded**
-    core (:func:`~repro.sim.backends.resolve_degraded_backend`) — the
-    indexed or the structure-of-arrays degraded loop, honoring
-    ``backend=`` exactly as fault-free runs do — and folds its fingerprint
-    into the plan key: the faulted and fault-free variants of one problem
-    are distinct cache entries by construction.  A disabled model is
+    An *enabled* fault model routes through the core's **degraded** twin
+    (:func:`~repro.sim.backends.resolve_degraded_backend`) — the indexed
+    or the structure-of-arrays degraded loop, by the same rule — and folds
+    its fingerprint into the plan key: the faulted and fault-free variants
+    of one problem are distinct cache entries by construction.  A disabled model is
     treated exactly as no model at all.
     """
     if fault_model is not None and not fault_model.enabled:
@@ -643,6 +643,8 @@ def _route_or_replay(
             f"unknown arbitration policy {arbitration!r}; "
             f"expected one of {ARBITRATION_POLICIES}"
         )
+    if backend is None:
+        backend = choose_backend(len(sources))
     if fault_model is not None:
         route_core = resolve_degraded_backend(backend)
     else:
@@ -698,7 +700,7 @@ def route_permutation(
     *,
     max_steps: int | None = None,
     arbitration: str = "overtaking",
-    backend: str = "indexed",
+    backend: str | None = None,
     on_step: StepCallback | None = None,
     timing: bool = False,
     cache=None,
@@ -724,15 +726,13 @@ def route_permutation(
         Channel-arbitration policy, ``"overtaking"`` (seed-identical
         default) or ``"fifo"`` — see the module docstring.
     backend:
-        Arbitration core — ``"indexed"`` (default), ``"numpy"`` (the
-        structure-of-arrays core), ``"numba"`` or ``"cupy"`` (optional;
-        error if the package — and, for cupy, a CUDA device — is
-        missing).  All backends are bit-identical by contract (schedule,
+        Arbitration core.  ``None`` (default) lets the engine pick by
+        packet count (:func:`~repro.sim.backends.choose_backend`);
+        ``"indexed"`` or ``"numpy"`` forces one, as the equivalence
+        suites do.  The cores are bit-identical by contract (schedule,
         stats, and plan-cache digests alike), so this only changes how
-        fast the answer is computed; see :mod:`repro.sim.backends`.
-        Fault-injected runs honor ``backend=`` too, through each
-        backend's degraded core (``"cupy"`` is fault-free only and raises
-        a ValueError when combined with ``fault_model=``).
+        fast the answer is computed; fault-injected runs use the chosen
+        core's degraded twin.  See :mod:`repro.sim.backends`.
     on_step:
         Optional :data:`StepCallback` invoked after every committed step.
     timing:
@@ -802,7 +802,7 @@ def route_demands(
     *,
     max_steps: int | None = None,
     arbitration: str = "overtaking",
-    backend: str = "indexed",
+    backend: str | None = None,
     on_step: StepCallback | None = None,
     timing: bool = False,
     cache=None,

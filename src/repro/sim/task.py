@@ -129,9 +129,10 @@ def run_routing_task(params: dict) -> dict:
 
     Required ``params``: ``topology``, ``n``, ``workload``.  Optional:
     ``seed`` (default 99), ``arbitration`` (default ``"overtaking"``),
-    ``backend`` (default ``"indexed"`` — an engine backend name from
-    :data:`repro.sim.backends.ENGINE_BACKENDS`; echoed in the payload, and
-    bit-identical across choices by contract),
+    ``backend`` (default: the engine's packet-count rule,
+    :func:`repro.sim.backends.choose_backend`; a name from
+    :data:`repro.sim.backends.ENGINE_BACKENDS` forces that core, and the
+    payload reports the core that ran — bit-identical either way),
     ``max_steps`` (default the engine's own bound), ``trace`` — a
     directory path (or ``True`` for ``results/traces``) into which the run
     writes a JSONL observability trace — and ``plan_cache`` — a plan-cache
@@ -160,6 +161,7 @@ def run_routing_task(params: dict) -> dict:
     point.  Unroutable cells return before certification (their bound is
     infinite).
     """
+    from .backends import choose_backend
     from .engine import route_demands
 
     topology_name = params["topology"]
@@ -167,7 +169,7 @@ def run_routing_task(params: dict) -> dict:
     workload_name = params["workload"]
     seed = int(params.get("seed", 99))
     arbitration = params.get("arbitration", "overtaking")
-    backend = params.get("backend", "indexed")
+    backend = params.get("backend")
     trace = params.get("trace")
     plan_cache = params.get("plan_cache")
 
@@ -180,6 +182,8 @@ def run_routing_task(params: dict) -> dict:
 
     topology = build_topology(topology_name, n)
     sources, dests = build_workload(workload_name, n, seed)
+    if backend is None:
+        backend = choose_backend(len(sources))
 
     probe = tracer = None
     if trace:

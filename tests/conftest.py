@@ -77,3 +77,57 @@ def hm4() -> Hypermesh2D:
 def any_topology(request):
     """A representative zoo of small topologies."""
     return request.param
+
+
+#: The shapes of one route-cold cycle of the repository's benchmark
+#: (perfbench/route.py): (topology, n, workload, faulted).  Fault-free
+#: cells straddle the engine's packet-count rule from above (N=1024 and
+#: N=4096, dense and sparse); faulted cells are N=1024.
+ROUTE_COLD_SHAPES = tuple(
+    [
+        (t, n, w, False)
+        for t in ("mesh2d", "torus2d", "hypercube", "hypermesh2d")
+        for n in (1024, 4096)
+        for w in ("dense-permutation", "sparse-hrelation")
+    ]
+    + [
+        (t, 1024, w, True)
+        for t in ("mesh2d", "torus2d", "hypercube", "hypermesh2d")
+        for w in ("dense-permutation", "sparse-hrelation")
+    ]
+)
+
+
+def route_cold_body(topology, n, workload, faulted, seed) -> dict:
+    """A ``POST /v1/route`` body for one route-cold shape.
+
+    Faulted bodies carry the benchmark's fault mix: two degraded nets on
+    the hypermesh; elsewhere 5 % of links down plus a 0.2 drop
+    probability (for seeds 1-11 every such N=1024 machine stays
+    connected).
+    """
+    body = {"topology": topology, "n": n, "workload": workload, "seed": seed}
+    if faulted:
+        if topology == "hypermesh2d":
+            side = int(n**0.5)
+            nets = np.random.default_rng(seed).choice(
+                2 * side, size=2, replace=False
+            )
+            body["fault"] = {
+                "seed": seed, "degraded_nets": sorted(int(x) for x in nets)
+            }
+        else:
+            body["fault"] = {
+                "seed": seed, "link_fail_fraction": 0.05, "drop_prob": 0.2
+            }
+    return body
+
+
+@pytest.fixture
+def route_cold_bodies():
+    """``bodies(seed)``: one route-cold body per shape, in cycle order."""
+
+    def bodies(seed: int) -> list[dict]:
+        return [route_cold_body(*shape, seed) for shape in ROUTE_COLD_SHAPES]
+
+    return bodies

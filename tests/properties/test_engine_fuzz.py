@@ -7,11 +7,9 @@ load-bearing equivalences end to end:
 * the indexed production engine is **bit-identical** to the frozen seed
   loop in :mod:`repro.sim._reference` (overtaking arbitration — the only
   policy the reference implements);
-* every pluggable engine backend (``"numpy"``, and ``"numba"`` when the
-  optional package is present) is bit-identical to the indexed engine —
-  step dicts in the same insertion order, same stats — under both
-  arbitration policies, and the numpy core matches the seed reference
-  directly;
+* both engine cores are bit-identical to the indexed engine — step
+  dicts in the same insertion order, same stats — under both arbitration
+  policies, and the numpy core matches the seed reference directly;
 * a cached replay equals live routing, schedule and stats alike;
 * attaching a fault-free :class:`~repro.faults.FaultModel` is a no-op —
   the engine must take its fault-free fast path and produce the identical
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 import pickle
 import tempfile
-from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -54,9 +51,8 @@ from repro.sim.routers import router_for
 
 pytestmark = pytest.mark.fuzz
 
-#: Every backend resolvable here; numba rides along when installed so the
-#: best-effort CI leg fuzzes it with the same pinned profile.
-BACKENDS = ["indexed", "numpy"] + (["numba"] if find_spec("numba") else [])
+#: Both engine cores.
+BACKENDS = ["indexed", "numpy"]
 
 TOPOLOGIES = {
     "mesh2": lambda: Mesh2D(2),
@@ -156,7 +152,9 @@ def test_backends_bit_identical_to_indexed(case, arbitration, backend):
     backend) draw must reproduce the indexed engine exactly — including
     each step dict's insertion order, which the plan cache serializes."""
     topo, demands = case
-    baseline = route_demands(topo, demands, arbitration=arbitration)
+    baseline = route_demands(
+        topo, demands, arbitration=arbitration, backend="indexed"
+    )
     routed = route_demands(
         topo, demands, arbitration=arbitration, backend=backend
     )
@@ -203,8 +201,8 @@ def test_disabled_fault_model_is_a_noop(case, arbitration):
     assert _as_comparable(with_model) == _as_comparable(plain)
 
 
-#: Degraded-capable backends to diff against the indexed degraded loop.
-DEGRADED_BACKENDS = ["numpy"] + (["numba"] if find_spec("numba") else [])
+#: Cores whose degraded twin is diffed against the indexed degraded loop.
+DEGRADED_BACKENDS = ["numpy"]
 
 
 @st.composite
@@ -257,7 +255,7 @@ def test_degraded_backends_bit_identical_to_indexed(case, arbitration, backend):
     try:
         baseline = route_demands(
             topo, demands, arbitration=arbitration, fault_model=model,
-            cache=False,
+            backend="indexed", cache=False,
         )
     except UnroutableError as exc:
         with pytest.raises(UnroutableError) as got:

@@ -110,6 +110,13 @@ class TestValidation:
         assert response.status == 400
         assert "timeout" in response.body["fields"]
 
+    def test_backend_is_not_a_request_field(self, client):
+        """The engine picks its core by packet count; a body that still
+        names one gets the standard unknown-field 400."""
+        response = client.route({**CHEAP_JOB, "backend": "numpy"})
+        assert response.status == 400
+        assert response.body["fields"] == {"backend": "unknown field"}
+
     def test_rejected_counter(self, client):
         client.route({"topology": "nope"})
         assert client.stats().body["service"]["rejected"] == 1

@@ -1,15 +1,13 @@
-"""The backend seam, enforced: every engine backend is bit-identical.
+"""The core seam, enforced: both engine cores are bit-identical.
 
-``repro.sim.backends`` promises that the ``"numpy"`` (and optional
-``"numba"``) cores produce byte-for-byte the same observable output as the
-indexed engine and the frozen seed loop — same step dicts *in the same
-insertion order*, same :class:`~repro.sim.stats.RoutingStats`, same
-plan-cache digests and blob payloads.  These tests are that contract; the
-differential fuzz harness in ``tests/properties/test_engine_fuzz.py``
-extends them with random draws.
+``repro.sim.backends`` promises that the ``"numpy"`` core produces
+byte-for-byte the same observable output as the indexed engine and the
+frozen seed loop — same step dicts *in the same insertion order*, same
+:class:`~repro.sim.stats.RoutingStats`, same plan-cache digests and blob
+payloads — so the engine may pick either by packet count.  These tests are
+that contract and the rule; the differential fuzz harness in
+``tests/properties/test_engine_fuzz.py`` extends them with random draws.
 """
-
-import importlib.util
 
 import pytest
 
@@ -27,8 +25,6 @@ from repro.routing import Permutation, bit_reversal
 from repro.sim import (
     ENGINE_BACKENDS,
     PlanCache,
-    available_backends,
-    degraded_backends,
     numpy_degraded_core,
     numpy_route_core,
     resolve_backend,
@@ -42,8 +38,6 @@ from repro.sim.engine import _route_core
 from repro.sim.routers import router_for
 from repro.sim.schedule import ScheduleError
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-
 TOPOLOGIES = [
     Mesh2D(4),
     Torus2D(4),
@@ -55,7 +49,7 @@ TOPOLOGIES = [
 ]
 IDS = [f"{type(t).__name__}-{t.num_nodes}" for t in TOPOLOGIES]
 
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
+BACKENDS = ["numpy"]
 
 
 def run_core(core, topology, sources, dests, **kwargs):
@@ -87,37 +81,23 @@ class TestRegistry:
             resolve_backend("fortran")
 
     def test_registry_and_availability(self):
-        assert list(ENGINE_BACKENDS) == ["indexed", "numpy", "numba", "cupy"]
-        avail = available_backends()
-        assert avail[:2] == ("indexed", "numpy")
-        assert ("numba" in avail) == HAVE_NUMBA
-        # This host has no CUDA device in CI; either way the registry entry
-        # exists and availability gates it honestly.
-        from repro.sim.backends import cupy_available
-
-        assert ("cupy" in avail) == cupy_available()
-
-    def test_degraded_capability_flags(self):
-        assert degraded_backends() == ("indexed", "numpy", "numba")
-        assert not ENGINE_BACKENDS["cupy"].degraded
-        for name in degraded_backends():
-            assert ENGINE_BACKENDS[name].degraded
+        """Two cores, both always available, each with a degraded twin."""
+        assert list(ENGINE_BACKENDS) == ["indexed", "numpy"]
+        for name in ENGINE_BACKENDS:
+            assert callable(resolve_backend(name))
+            assert callable(resolve_degraded_backend(name))
 
     def test_degraded_resolution(self):
         assert resolve_degraded_backend("indexed") is route_core_degraded
         assert resolve_degraded_backend("numpy") is numpy_degraded_core
         with pytest.raises(ValueError, match="unknown engine backend"):
             resolve_degraded_backend("fortran")
-        with pytest.raises(
-            ValueError, match="does not support fault_model= runs"
-        ):
-            resolve_degraded_backend("cupy")
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
     def test_missing_numba_is_a_clear_error(self):
-        with pytest.raises(ValueError, match="numba"):
+        """The numba backend is gone: its name is an unknown core."""
+        with pytest.raises(ValueError, match="unknown engine backend 'numba'"):
             resolve_backend("numba")
-        with pytest.raises(ValueError, match="numba"):
+        with pytest.raises(ValueError, match="unknown engine backend 'numba'"):
             route_permutation(Mesh2D(2), bit_reversal(4), backend="numba")
 
     def test_bad_arbitration_message_identical(self):
@@ -212,7 +192,9 @@ class TestBackendSemantics:
         topo = Hypermesh2D(4)
         perm = bit_reversal(16)
         via_perm = route_permutation(topo, perm, backend=backend, cache=False)
-        via_idx = route_permutation(topo, perm, cache=False)
+        via_idx = route_permutation(
+            topo, perm, backend="indexed", cache=False
+        )
         assert via_perm.schedule.steps == via_idx.schedule.steps
         assert via_perm.stats == via_idx.stats
         demands = [(i, int(perm.destinations[i])) for i in range(16)]
@@ -233,7 +215,7 @@ class TestBackendSemantics:
             topo, perm, backend=backend, fault_model=model, cache=False
         )
         baseline = route_permutation(
-            topo, perm, fault_model=model, cache=False
+            topo, perm, backend="indexed", fault_model=model, cache=False
         )
         assert with_backend.schedule.steps == baseline.schedule.steps
         assert with_backend.stats == baseline.stats
@@ -262,9 +244,7 @@ class TestBackendSemantics:
         topo = Mesh2D(4)
         perm = bit_reversal(16)
         model = FaultModel(seed=3, drop_prob=0.2, retry_limit=4)
-        with pytest.raises(
-            ValueError, match="does not support fault_model= runs"
-        ):
+        with pytest.raises(ValueError, match="unknown engine backend"):
             route_permutation(
                 topo, perm, backend="cupy", fault_model=model, cache=False
             )
@@ -320,19 +300,6 @@ class TestCrossBackendCache:
             route_permutation(Mesh2D(4), perm, backend="hx", cache=cache)
         # The bad-backend call counted no hit: it failed before lookup.
         assert cache.hits == 0
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="optional numba not installed")
-class TestNumbaBackend:
-    def test_resolves_and_matches(self, rng):
-        core = resolve_backend("numba")
-        topo = Mesh2D(4)
-        perm = Permutation.random(16, rng)
-        src, dst = list(range(16)), perm.destinations.tolist()
-        assert_bit_identical(
-            run_core(core, topo, src, dst),
-            run_core(_route_core, topo, src, dst),
-        )
 
 
 # Fault configurations exercising every degraded-core code path: structural
@@ -460,21 +427,16 @@ class TestDegradedEngineDispatch:
         assert replay.stats == first.stats
 
 
-@pytest.mark.skipif(
-    importlib.util.find_spec("cupy") is not None,
-    reason="cupy is installed here",
-)
 class TestCupyUnavailable:
-    def test_missing_cupy_is_a_clear_error(self):
-        from repro.sim.backends import cupy_available
+    """The cupy backend is gone: its name is an unknown core."""
 
-        assert not cupy_available()
-        with pytest.raises(ValueError, match="cupy"):
+    def test_missing_cupy_is_a_clear_error(self):
+        with pytest.raises(ValueError, match="unknown engine backend 'cupy'"):
             resolve_backend("cupy")
-        with pytest.raises(ValueError, match="cupy"):
+        with pytest.raises(ValueError, match="unknown engine backend 'cupy'"):
             route_permutation(
                 Mesh2D(2), bit_reversal(4), backend="cupy", cache=False
             )
 
     def test_cupy_absent_from_available_backends(self):
-        assert "cupy" not in available_backends()
+        assert "cupy" not in ENGINE_BACKENDS

@@ -3,9 +3,9 @@
 The benchmark artifacts are the repo's performance claims of record, so
 their shape is enforced like code: required top-level keys per artifact,
 ``equivalent: true`` on every row that claims bit-identity, no null
-timings outside ``gpu_available: false`` rows, and — since the bound
-certifier landed — every engine/faults row carries ``certified: true``
-with ``bound <= steps``.
+timings anywhere, engine rows timed with repeats and a spread, and —
+since the bound certifier landed — every engine/faults row carries
+``certified: true`` with ``bound <= steps``.
 """
 
 import json
@@ -22,8 +22,8 @@ ARTIFACTS = sorted(REPO.glob("BENCH_*.json"))
 REQUIRED_KEYS = {
     "BENCH_campaign.json": {"summary", "rows", "spec_hash", "meta"},
     "BENCH_engine.json": {
-        "engines", "baseline", "equivalence", "sizes", "backends", "rows",
-        "gpu_crossover",
+        "engines", "baseline", "equivalence", "timing", "host", "sizes",
+        "backends", "rows",
     },
     "BENCH_faults.json": {
         "engine", "baseline", "equivalence", "timing", "sizes", "backends",
@@ -39,7 +39,8 @@ REQUIRED_KEYS = {
 #: Row keys every routable row of the two engine-layer artifacts must have.
 ENGINE_ROW_KEYS = {
     "topology", "n", "workload", "backend", "packets", "steps",
-    "total_hops", "engine_seconds", "seed_engine_seconds", "speedup",
+    "total_hops", "samples", "engine_seconds", "engine_iqr_seconds",
+    "seed_engine_seconds", "seed_engine_iqr_seconds", "speedup",
     "equivalent", "bound", "bound_ratio", "bound_kind", "certified",
 }
 FAULTS_ROW_KEYS = {
@@ -91,31 +92,15 @@ def test_required_keys_present(name):
 
 @pytest.mark.parametrize("name", sorted(REQUIRED_KEYS))
 def test_no_null_timings_outside_gpu_unavailable_rows(name):
-    """A null timing is only legal where the row (or its enclosing block)
-    says ``gpu_available: false`` — the cupy backend is best-effort, every
-    other timing must be a real measurement."""
+    """Every timing is a real, finite measurement.  No row is exempt: the
+    exemption for ``gpu_available: false`` rows went with the GPU
+    backend."""
     data = _load(name)
-
-    def check(obj, gpu_unavailable=False, path=""):
-        if isinstance(obj, dict):
-            gpu_unavailable = gpu_unavailable or obj.get("gpu_available") is False
-            for k, v in obj.items():
-                here = f"{path}.{k}" if path else k
-                if isinstance(v, (dict, list)):
-                    check(v, gpu_unavailable, here)
-                elif k.endswith("_seconds") or k.endswith("_ns"):
-                    if v is None:
-                        assert gpu_unavailable, (
-                            f"{name}: null timing at {here} outside a "
-                            "gpu_available: false row"
-                        )
-                    else:
-                        assert isinstance(v, (int, float)) and math.isfinite(v)
-        elif isinstance(obj, list):
-            for i, v in enumerate(obj):
-                check(v, gpu_unavailable, f"{path}[{i}]")
-
-    check(data)
+    for here, value in _timing_values(data):
+        assert value is not None, f"{name}: null timing at {here}"
+        assert isinstance(value, (int, float)) and math.isfinite(value), (
+            f"{name}: non-finite timing at {here}: {value!r}"
+        )
 
 
 @pytest.mark.parametrize(
@@ -138,6 +123,9 @@ def test_engine_rows_are_certified():
     assert data["rows"], "BENCH_engine.json has no rows"
     for row in data["rows"]:
         assert set(row) == ENGINE_ROW_KEYS, f"row keys drifted: {sorted(row)}"
+        assert row["samples"] > 1, f"single-sample timing: {row}"
+        assert row["engine_iqr_seconds"] >= 0
+        assert row["seed_engine_iqr_seconds"] >= 0
         assert row["certified"] is True
         assert 0 <= row["bound"] <= row["steps"]
         assert row["bound_ratio"] is None or row["bound_ratio"] >= 1.0

@@ -180,15 +180,31 @@ class TestTraceCommand:
         assert "unknown trace target" in capsys.readouterr().err
 
     def test_numpy_backend_traces_identically(self, tmp_path, capsys):
-        from repro.obs import read_trace
+        """At --n 1024 the engine picks the NumPy core by rule; its trace
+        must match a library run forced onto the indexed loop."""
+        from repro.obs import (
+            JsonlTraceFile, LinkUtilizationProbe, Tracer, read_trace,
+        )
+        from repro.sim import route_demands
+        from repro.sim.task import build_topology, build_workload
 
-        a, b = tmp_path / "idx.jsonl", tmp_path / "np.jsonl"
-        assert main(["trace", "mesh2d", "--n", "16", "--out", str(a)]) == 0
-        assert main(["trace", "mesh2d", "--n", "16", "--backend", "numpy",
-                     "--out", str(b)]) == 0
-        # Same workload, same contract: the two backends must emit the
-        # same step/link events (host timing aside, which read_trace keeps
-        # out of the typed payloads compared here).
+        a, b = tmp_path / "cli.jsonl", tmp_path / "indexed.jsonl"
+        assert main(["trace", "mesh2d", "--n", "1024", "--out", str(a)]) == 0
+        topology = build_topology("mesh2d", 1024)
+        sources, dests = build_workload("bit-reversal", 1024, 0)
+        tracer = Tracer("mesh2d/bit-reversal/n=1024/seed=0", JsonlTraceFile(b))
+        probe = LinkUtilizationProbe(
+            topology, sources, dests=dests, tracer=tracer
+        )
+        route_demands(
+            topology, list(zip(sources, dests)), backend="indexed",
+            on_step=probe, timing=True,
+        )
+        probe.finish()
+        tracer.close()
+        # Same workload, same contract: the two cores must emit the same
+        # step/link events (host timing aside, which read_trace keeps out
+        # of the typed payloads compared here).
         strip = {"seconds", "total_seconds", "mean_step_seconds"}
         events_a = [
             (e.type, {k: v for k, v in e.data.items() if k not in strip})
@@ -198,13 +214,15 @@ class TestTraceCommand:
             (e.type, {k: v for k, v in e.data.items() if k not in strip})
             for e in read_trace(b) if e.type != "trace.meta"
         ]
-        assert events_a == events_b
+        assert events_a and events_a == events_b
 
     def test_unknown_backend_exits_2(self, tmp_path, capsys):
-        rc = main(["trace", "mesh2d", "--n", "16", "--backend", "vulkan",
-                   "--out", str(tmp_path / "t.jsonl")])
-        assert rc == 2
-        assert "unknown engine backend" in capsys.readouterr().err
+        """The engine picks its core itself: --backend is no option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "mesh2d", "--n", "16", "--backend", "numpy",
+                  "--out", str(tmp_path / "t.jsonl")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_unknown_workload_exits_2(self, tmp_path, capsys):
         rc = main(["trace", "mesh2d", "--n", "16", "--workload", "storm",
@@ -422,6 +440,14 @@ class TestFaultsCommand:
                    "--drop-prob", "1.5"])
         assert rc == 2
         assert "drop_prob" in capsys.readouterr().err
+
+    def test_more_degraded_nets_than_the_machine_has_exits_2(self, capsys):
+        # Hypermesh2D(4) has 8 nets; the sweep's last row degrades 9.
+        rc = main(["faults", "--topology", "hypermesh2d", "--n", "16",
+                   "--max-degraded-nets", "9"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "net 8" in err
 
 
 class TestCertifyCommand:

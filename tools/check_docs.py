@@ -13,7 +13,7 @@ Two checks, both run by the CI docs job and by
 
    * the "Event types" section of ``docs/OBSERVABILITY.md`` comes from
      ``repro.obs.events`` (:data:`EVENT_TYPES`);
-   * the engine-backends table in ``docs/API.md`` comes from
+   * the engine-cores table in ``docs/API.md`` comes from
      ``repro.sim.backends`` (:data:`ENGINE_BACKENDS`);
    * the service endpoint table in ``docs/API.md`` comes from
      ``repro.service.app`` (:data:`ENDPOINTS`);
@@ -123,23 +123,19 @@ def render_event_types() -> str:
 
 
 def render_engine_backends() -> str:
-    """The canonical engine-backends table, straight from the registry.
-
-    Deliberately availability-agnostic: the table documents every backend
-    the seam knows, not which optional packages this host happens to have
-    installed, so the rendered bytes are identical everywhere.
-    """
-    from repro.sim.backends import ENGINE_BACKENDS
+    """The canonical engine-cores table, straight from the registry."""
+    from repro.sim.backends import ENGINE_BACKENDS, NUMPY_MIN_PACKETS
 
     lines = [
         BACKENDS_BEGIN,
         "",
-        "| backend | degraded | description |",
-        "|---|---|---|",
+        f"`NUMPY_MIN_PACKETS = {NUMPY_MIN_PACKETS}`",
+        "",
+        "| backend | description |",
+        "|---|---|",
     ]
-    for name, spec in ENGINE_BACKENDS.items():
-        degraded = "yes" if spec.degraded else "no"
-        lines.append(f"| `{name}` | {degraded} | {spec.description} |")
+    for name, description in ENGINE_BACKENDS.items():
+        lines.append(f"| `{name}` | {description} |")
     lines += ["", END]
     return "\n".join(lines)
 
