@@ -7,6 +7,7 @@ x workload), and these specs encode them declaratively.
 
 from __future__ import annotations
 
+from ..sim.task import TOPOLOGY_BUILDERS
 from .spec import CampaignSpec, TaskSpec
 
 __all__ = ["BUILTIN_CAMPAIGNS", "builtin_campaign", "list_builtin_campaigns"]
@@ -89,7 +90,7 @@ def _engine_sweep_cached() -> CampaignSpec:
 
 #: Grid axes for the communication-avoiding sweep.  Square powers of two
 #: fit every topology family (and the APE FFT's square PE layout).
-COMM_AVOIDING_TOPOLOGIES = ("mesh2d", "torus2d", "hypercube", "hypermesh2d")
+COMM_AVOIDING_TOPOLOGIES = tuple(TOPOLOGY_BUILDERS)
 COMM_AVOIDING_SIZES = (64, 256, 1024)
 
 
@@ -160,9 +161,9 @@ def _chaos_sweep() -> CampaignSpec:
     being possible.  The hypermesh column uses degraded nets instead of
     link fractions (hypergraph networks have nets, not links): net 0
     serialized, then nets 0+1.  The ``backend`` axis runs every faulted
-    cell on both the indexed and the structure-of-arrays degraded cores;
-    the two halves of the grid must report identical step counts (the
-    degraded backends are bit-identical by contract), so the sweep doubles
+    cell on both the indexed and the structure-of-arrays cores; the two
+    halves of the grid must report identical step counts (the cores are
+    bit-identical on faulted jobs by contract), so the sweep doubles
     as a cross-backend consistency check at campaign scale.
     """
     tasks = []

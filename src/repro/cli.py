@@ -1028,6 +1028,8 @@ def _cmd_paper(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (exposed for tests)."""
+    from .sim.task import TOPOLOGY_BUILDERS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the tables and figures of Szymanski (ICPP 1992).",
@@ -1262,7 +1264,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--topologies", nargs="+",
-                   default=["mesh2d", "torus2d", "hypercube", "hypermesh2d"],
+                   default=list(TOPOLOGY_BUILDERS),
                    help="topology grid (default: all four families)")
     p.add_argument("--sizes", type=int, nargs="+", default=[16, 64],
                    help="node counts (square powers of two fit every family)")

@@ -203,7 +203,7 @@ class FaultModel:
         packet)`` the scalar method computes — a pure per-packet function,
         so batching cannot reorder or change the sequence — with the
         degenerate probabilities (0 and 1) short-circuited to one array
-        fill.  This is what lets the vectorized degraded core settle a
+        fill.  This is what lets the structure-of-arrays core settle a
         whole step's granted transmissions in one call while staying
         bit-identical to the indexed core's per-move draws.
         """

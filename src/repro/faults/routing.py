@@ -158,7 +158,7 @@ class FaultAwareRouter:
     def prepare_dests(self, dests) -> None:
         """Warm the BFS tables for every destination in one batched sweep.
 
-        The vectorized degraded core calls this once before its step loop
+        The structure-of-arrays core calls this once before a faulted loop
         so no per-step ``next_hop_array`` call ever triggers an
         incremental (single-destination) BFS; the scalar path benefits
         too, since :meth:`_distances` reads the same shared cache.

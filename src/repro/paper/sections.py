@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from ..campaign.spec import TaskSpec
+from ..sim.task import TOPOLOGY_BUILDERS
 
 __all__ = [
     "SECTION_SCHEMA_VERSION",
@@ -553,13 +554,10 @@ def _routed_assemble(
     ),))
 
 
-_COMM_AVOIDING_TOPOLOGIES = ("mesh2d", "torus2d", "hypercube", "hypermesh2d")
-
-
 def _comm_avoiding_tasks(profile: PaperProfile) -> tuple[TaskSpec, ...]:
     n = profile.routed_n
     tasks = []
-    for topology in _COMM_AVOIDING_TOPOLOGIES:
+    for topology in TOPOLOGY_BUILDERS:
         for method in ("systolic", "hyper-systolic"):
             tasks.append(
                 TaskSpec(

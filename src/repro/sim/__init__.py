@@ -7,7 +7,6 @@ from .backends import (
     choose_backend,
     numpy_route_core,
     resolve_backend,
-    resolve_degraded_backend,
 )
 from .engine import (
     ARBITRATION_POLICIES,
@@ -17,7 +16,7 @@ from .engine import (
     route_demands,
     route_permutation,
 )
-from .degraded import FaultCallback, numpy_degraded_core, route_core_degraded
+from .degraded import FaultCallback, route_core_degraded
 from .machine import Compute, Exchange, Permute, ProgramOp, RunResult, SimdMachine
 from .plancache import (
     PlanCache,
@@ -68,7 +67,6 @@ __all__ = [
     "NUMPY_MIN_PACKETS",
     "choose_backend",
     "resolve_backend",
-    "resolve_degraded_backend",
     "numpy_route_core",
     "StepTracer",
     "StepRecord",
@@ -81,7 +79,6 @@ __all__ = [
     "replay_schedule",
     "FaultCallback",
     "route_core_degraded",
-    "numpy_degraded_core",
     "PlanCache",
     "PlanKey",
     "plan_key",

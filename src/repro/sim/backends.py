@@ -8,25 +8,29 @@ which core computed them.  This module holds the seam between them:
 ``"indexed"``
     The loop in :func:`repro.sim.engine._route_core`: active-node
     worklist, intrusive linked-list queues, per-packet hop caches.  Python
-    control flow, O(in-flight) per step; cheapest on small jobs.
+    control flow, O(in-flight) per step; cheapest on small jobs.  A
+    faulted job runs on :func:`repro.sim.degraded.route_core_degraded`,
+    the indexed loop with the fault semantics added.
 
 ``"numpy"``
-    The structure-of-arrays core in this module: packet positions,
-    destinations, next hops, and the queue priority order held in flat
-    ``int64`` arrays and advanced whole-steps at a time.  Channel
-    arbitration becomes a stable argsort (first proposal per channel code
-    wins), hypergraph inject/deliver arbitration an iterated round of the
-    same kernel, and the FIFO queue discipline one stable argsort of the
-    survivor ordering per step.  Its per-step NumPy calls cost a fixed
-    overhead that pays off once a job carries enough packets.
+    The structure-of-arrays core in this module, for fault-free and
+    faulted jobs alike: packet positions, destinations, next hops, and the
+    queue priority order held in flat ``int64`` arrays and advanced
+    whole-steps at a time.  Channel arbitration becomes a stable argsort
+    (first proposal per channel code wins), hypergraph inject/deliver
+    arbitration an iterated round of the same kernel, and the FIFO queue
+    discipline one stable argsort of the survivor ordering per step.  Its
+    per-step NumPy calls cost a fixed overhead that pays off once a job
+    carries enough packets.
 
-Both cores have a degraded twin in :mod:`repro.sim.degraded` for runs
-with an enabled fault model.  The engine picks the core itself with
-:func:`choose_backend`: a job of :data:`NUMPY_MIN_PACKETS` packets or more
-runs on the NumPy core, a smaller one on the indexed loop, fault-free or
-faulted, under either arbitration policy.  Callers may still name a core
-(``backend="indexed"`` or ``"numpy"``); the equivalence suites and the
-benchmarks that time each core do.
+Both take the same arguments, ``fault_model=`` and ``on_fault=``
+included, so :func:`resolve_backend` is the only resolver.  The engine
+picks the core itself with :func:`choose_backend`: a job of
+:data:`NUMPY_MIN_PACKETS` packets or more runs on the NumPy core, a
+smaller one on the indexed loop, fault-free or faulted, under either
+arbitration policy.  Callers may still name a core (``backend="indexed"``
+or ``"numpy"``); the equivalence suites and the benchmarks that time each
+core do.
 
 Every core must reproduce the seed loop in :mod:`repro.sim._reference`
 exactly — same grant order (so cached plans record identical insertion
@@ -60,23 +64,31 @@ priority-ordered proposals; FIFO runs trade the vector win for exactness.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from ..faults.model import FaultModel
+from ..faults.routing import FaultAwareRouter
 from ..networks.base import ChannelModel, HypergraphTopology, Topology
 from .routers import Router
 from .schedule import ScheduleError
 from .stats import RoutingStats
 
+if TYPE_CHECKING:
+    from .degraded import FaultCallback
+
 __all__ = [
+    "ARBITRATION_POLICIES",
     "ENGINE_BACKENDS",
     "NUMPY_MIN_PACKETS",
     "choose_backend",
     "resolve_backend",
-    "resolve_degraded_backend",
     "numpy_route_core",
 ]
+
+#: Channel-arbitration disciplines accepted by the engine.
+ARBITRATION_POLICIES = ("overtaking", "fifo")
 
 
 #: The engine cores: name -> description.  The ``docs/API.md`` core table
@@ -122,17 +134,11 @@ def choose_backend(packets: int) -> str:
     return "numpy" if packets >= NUMPY_MIN_PACKETS else "indexed"
 
 
-def _unknown_backend(backend: str) -> ValueError:
-    return ValueError(
-        f"unknown engine backend {backend!r}; "
-        f"expected one of {tuple(ENGINE_BACKENDS)}"
-    )
-
-
 def resolve_backend(backend: str) -> Callable:
     """Resolve a core name to its ``_route_core``-compatible callable.
 
-    Raises :class:`ValueError` naming the known cores for any other name.
+    Both cores take ``fault_model=`` and ``on_fault=``.  Raises
+    :class:`ValueError` naming the known cores for any other name.
     """
     if backend == "indexed":
         from .engine import _route_core
@@ -140,26 +146,19 @@ def resolve_backend(backend: str) -> Callable:
         return _route_core
     if backend == "numpy":
         return numpy_route_core
-    raise _unknown_backend(backend)
+    raise ValueError(
+        f"unknown engine backend {backend!r}; "
+        f"expected one of {tuple(ENGINE_BACKENDS)}"
+    )
 
 
-def resolve_degraded_backend(backend: str) -> Callable:
-    """Resolve a core name for a **fault-injected** run.
-
-    The returned callable has :func:`repro.sim.degraded.
-    route_core_degraded`'s signature (the fault model and ``on_fault``
-    ride along).  Unknown names raise the *same* named :class:`ValueError`
-    the fault-free :func:`resolve_backend` raises.
-    """
-    if backend == "indexed":
-        from .degraded import route_core_degraded
-
-        return route_core_degraded
-    if backend == "numpy":
-        from .degraded import numpy_degraded_core
-
-        return numpy_degraded_core
-    raise _unknown_backend(backend)
+def _check_arbitration(arbitration: str) -> None:
+    """Raise the engine's named :class:`ValueError` for an unknown policy."""
+    if arbitration not in ARBITRATION_POLICIES:
+        raise ValueError(
+            f"unknown arbitration policy {arbitration!r}; "
+            f"expected one of {ARBITRATION_POLICIES}"
+        )
 
 
 def _first_claim_wins(codes: np.ndarray) -> np.ndarray:
@@ -213,24 +212,38 @@ def numpy_route_core(
     arbitration: str = "overtaking",
     on_step=None,
     timing: bool = False,
+    fault_model: FaultModel | None = None,
+    on_fault: FaultCallback | None = None,
 ) -> tuple[list[dict[int, int]], RoutingStats]:
-    """Structure-of-arrays arbitration loop (the ``"numpy"`` backend).
+    """Structure-of-arrays arbitration loop (the ``"numpy"`` core).
 
     Same signature, semantics, and error messages as
-    :func:`repro.sim.engine._route_core`; bit-identical output is the
-    contract.  Queue state is one array — ``order`` holds the in-flight
-    packet ids sorted by (node, FIFO position) — maintained per step by a
-    stable argsort of ``concat(stayers in old order, movers in grant
-    order)`` on position: stayers keep their relative order ahead of the
-    packets that just arrived, exactly the reference's ``deque`` semantics.
-    """
-    from .engine import ARBITRATION_POLICIES
+    :func:`repro.sim.engine._route_core` (``fault_model=None``) and
+    :func:`repro.sim.degraded.route_core_degraded` (an enabled model);
+    bit-identical output — step dicts in insertion order,
+    :class:`RoutingStats` including ``dropped`` and ``retried``, and the
+    same seeded drop draws — is the contract.  Queue state is one array:
+    ``order`` holds the in-flight packet ids sorted by (node, FIFO
+    position), maintained per step by a stable argsort of
+    ``concat(stayers in old order, movers in grant order)`` on position —
+    stayers keep their relative order ahead of the packets that just
+    arrived, exactly the reference's ``deque`` semantics.
 
-    if arbitration not in ARBITRATION_POLICIES:
-        raise ValueError(
-            f"unknown arbitration policy {arbitration!r}; "
-            f"expected one of {ARBITRATION_POLICIES}"
-        )
+    A fault model adds, on the same loop:
+
+    * hops from a :class:`~repro.faults.routing.FaultAwareRouter` (batched
+      BFS distance tables, warmed in one bit-parallel BFS up front) and
+      ``UnroutableError`` before the first step for a partitioned demand;
+    * on a machine with degraded hypermesh nets, a third arbitration code:
+      all proposals on one degraded net share a *serial* code, so
+      first-claim-wins grants at most one per step, while intact nets get
+      unique codes that never constrain them;
+    * a transmission phase settling every grant with one batched drop draw
+      (:meth:`~repro.faults.model.FaultModel.transmit_ok_batch`, the
+      indexed core's per-packet hashes), applying retries and drops in
+      grant order so ``on_fault`` sees the indexed core's event sequence.
+    """
+    _check_arbitration(arbitration)
     fifo = arbitration == "fifo"
     n = topology.num_nodes
     hypergraph = topology.channel_model is ChannelModel.HYPERGRAPH_NET
@@ -239,11 +252,25 @@ def numpy_route_core(
             f"hypergraph channel model requires a HypergraphTopology, "
             f"got {type(topology).__name__}"
         )
+    # Hypermesh net lookups: the topology's own, or with faults the
+    # router's (which skips hard-down nets).
+    net_map = topology
+    degraded_net = None  # per-net serial flag, on degraded machines only
+    if fault_model is not None:
+        if not isinstance(router, FaultAwareRouter):
+            router = FaultAwareRouter(topology, router, fault_model)
+        router.check_routable(sources, dests)
+        net_map = router
+        degraded_nets = router.faults.degraded_nets
+        if hypergraph and degraded_nets:
+            num_nets = topology.num_nets()
+            degraded_net = np.zeros(num_nets, dtype=bool)
+            degraded_net[sorted(degraded_nets)] = True
     next_hop = router.next_hop
     next_hop_array = getattr(router, "next_hop_array", None)
-    shared_net = topology.shared_net if hypergraph else None
+    shared_net = net_map.shared_net if hypergraph else None
     shared_net_array = (
-        getattr(topology, "shared_net_array", None) if hypergraph else None
+        getattr(net_map, "shared_net_array", None) if hypergraph else None
     )
 
     npk = len(sources)
@@ -258,6 +285,11 @@ def numpy_route_core(
     queued = np.flatnonzero(position != dest)
     order = queued[np.argsort(position[queued], kind="mergesort")]
     in_flight = int(order.size)
+    if fault_model is not None:
+        attempts = np.zeros(npk, dtype=np.int64)
+        retry_limit = fault_model.retry_limit
+        if next_hop_array is not None:
+            router.prepare_dests(dest[order])
 
     stats = RoutingStats()
     delivered = npk - in_flight
@@ -312,27 +344,35 @@ def numpy_route_core(
         # --- arbitration: indices into `order`, ascending == grant order
         if fifo:
             granted_idx, denied = _fifo_arbitrate(
-                n, pos, hops, nets if hypergraph else None
+                n, pos, hops, nets if hypergraph else None, degraded_net
             )
             blocked += denied
         elif hypergraph:
-            prop_idx = np.flatnonzero(proposing)
-            inject = nets * np.int64(n) + pos
-            deliver = nets * np.int64(n) + hops
+            codes = [nets * np.int64(n) + pos, nets * np.int64(n) + hops]
+            if degraded_net is not None:
+                # Serial codes: every proposal on one degraded net shares
+                # that net's id, so first-claim-wins admits one per step;
+                # intact-net proposals get unique codes that always win.
+                # Only proposers (whose nets are real) are ever consulted.
+                codes.append(np.where(
+                    degraded_net[nets],
+                    nets,
+                    num_nets + np.arange(in_flight, dtype=np.int64),
+                ))
             granted_parts = []
-            cand = prop_idx
+            cand = np.flatnonzero(proposing)
             while cand.size:
-                win = _first_claim_wins(inject[cand]) & _first_claim_wins(
-                    deliver[cand]
-                )
+                win = _first_claim_wins(codes[0][cand])
+                for code in codes[1:]:
+                    win &= _first_claim_wins(code[cand])
                 grant = cand[win]
                 granted_parts.append(grant)
                 rest = cand[~win]
                 if rest.size == 0:
                     break
-                conflict = _claimed(inject[rest], inject[grant]) | _claimed(
-                    deliver[rest], deliver[grant]
-                )
+                conflict = _claimed(codes[0][rest], codes[0][grant])
+                for code in codes[1:]:
+                    conflict |= _claimed(code[rest], code[grant])
                 blocked += int(np.count_nonzero(conflict))
                 cand = rest[~conflict]
             granted_idx = (
@@ -352,14 +392,41 @@ def numpy_route_core(
                 f"deadlock: {in_flight} packets queued but none can move"
             )
 
+        gone = np.zeros(in_flight, dtype=bool)
+        if fault_model is not None:
+            # --- transmission: one batched drop draw over the grants
+            ok = fault_model.transmit_ok_batch(stats.steps, order[granted_idx])
+            fail = granted_idx[~ok]
+            if fail.size:
+                fail_pids = order[fail]
+                attempts[fail_pids] += 1
+                stats.retried += int(fail.size)
+                over = (
+                    attempts[fail_pids] > retry_limit
+                    if retry_limit is not None
+                    else np.zeros(fail.size, dtype=bool)
+                )
+                if on_fault is not None:
+                    # Event order is contractual: each failed grant's
+                    # retry (and any immediate drop), in grant order.
+                    for pid, node, att, drop in zip(
+                        fail_pids.tolist(), pos[fail].tolist(),
+                        attempts[fail_pids].tolist(), over.tolist(),
+                    ):
+                        on_fault("retry", stats.steps, pid, node, att)
+                        if drop:
+                            on_fault("drop", stats.steps, pid, node, att)
+                stats.dropped += int(np.count_nonzero(over))
+                gone[fail[over]] = True
+                granted_idx = granted_idx[ok]
+
         # --- commit, in grant order (== priority order among grants)
         grant_pids = order[granted_idx]
         grant_hops = hops[granted_idx]
         position[grant_pids] = grant_hops
         arrived = grant_hops == dest[grant_pids]
-        moved = np.zeros(in_flight, dtype=bool)
-        moved[granted_idx] = True
-        survivors = np.concatenate((order[~moved], grant_pids[~arrived]))
+        gone[granted_idx] = True
+        survivors = np.concatenate((order[~gone], grant_pids[~arrived]))
         order = survivors[np.argsort(position[survivors], kind="mergesort")]
         in_flight = int(order.size)
         delivered += int(np.count_nonzero(arrived))
@@ -388,6 +455,7 @@ def _fifo_arbitrate(
     pos: np.ndarray,
     hops: np.ndarray,
     nets: np.ndarray | None,
+    degraded: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Sequential FIFO arbitration over priority-ordered proposals.
 
@@ -398,18 +466,22 @@ def _fifo_arbitrate(
     is counted per stopped node (the packet that hit the busy channel);
     the silenced tail never reaches a channel and counts nothing.
     ``None``-hop packets are transparent: skipped without stopping the
-    queue, as in the indexed engine.  Returns (granted indices ascending,
-    blocked count).
+    queue, as in the indexed engine.  ``degraded`` is the per-net serial
+    flag of a faulted hypermesh: a degraded net, once granted, denies
+    every later proposal on it this step.  Returns (granted indices
+    ascending, blocked count).
     """
     skip = bytearray(n)
     used_links: set[int] = set()
     used_inject: set[int] = set()
     used_deliver: set[int] = set()
+    used_serial: set[int] = set()
     granted: list[int] = []
     blocked = 0
     pos_list = pos.tolist()
     hop_list = hops.tolist()
     net_list = nets.tolist() if nets is not None else None
+    serial = degraded.tolist() if degraded is not None else None
     for i in range(len(pos_list)):
         nxt = hop_list[i]
         if nxt == _NO_HOP:
@@ -421,12 +493,18 @@ def _fifo_arbitrate(
             net = net_list[i]
             inject = net * n + node
             deliver = net * n + nxt
-            if inject in used_inject or deliver in used_deliver:
+            if (
+                inject in used_inject
+                or deliver in used_deliver
+                or net in used_serial
+            ):
                 skip[node] = 1
                 blocked += 1
                 continue
             used_inject.add(inject)
             used_deliver.add(deliver)
+            if serial is not None and serial[net]:
+                used_serial.add(net)
         else:
             link = node * n + nxt
             if link in used_links:

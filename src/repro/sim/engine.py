@@ -81,16 +81,15 @@ Both entry points accept ``fault_model=`` (a
 :class:`~repro.faults.model.FaultModel`).  A model with nothing enabled is
 contractually a **no-op**: the engine takes the fault-free path above and
 output is bit-identical to passing no model (the fuzz suite enforces
-this).  An enabled model routes through the picked core's *degraded*
-twin instead (``"indexed"`` ->
-:func:`~repro.sim.degraded.route_core_degraded`, ``"numpy"``
--> :func:`~repro.sim.degraded.numpy_degraded_core`; bit-identical by
+this).  An enabled model is handed to the picked core (``"indexed"``
+runs :func:`~repro.sim.degraded.route_core_degraded`, ``"numpy"`` the
+same structure-of-arrays core as fault-free jobs; bit-identical by
 contract) — minimal detours around dead links/nodes/nets, serialized
 sub-transfers on degraded hypermesh nets, and retry/drop semantics with
 ``dropped`` / ``retried`` accounting on :class:`RoutingStats` (observable
 per event via ``on_fault``).  The fault configuration is folded into the
-plan-cache key,
-so a faulted run can never replay a fault-free plan or vice versa; runs
+plan-cache key, so a faulted run can never replay a fault-free plan or
+vice versa; runs
 carrying an ``on_fault`` hook route live (counted as ``fault_bypassed``).
 See docs/FAULTS.md for the full semantics.
 """
@@ -107,8 +106,13 @@ from ..faults.model import FaultModel
 from ..networks.base import ChannelModel, HypergraphTopology, Topology
 from ..routing.permutation import Permutation
 from . import plancache as _plancache
-from .backends import choose_backend, resolve_backend, resolve_degraded_backend
-from .degraded import FaultCallback
+from .backends import (
+    ARBITRATION_POLICIES,
+    _check_arbitration,
+    choose_backend,
+    resolve_backend,
+)
+from .degraded import FaultCallback, route_core_degraded
 from .routers import Router, router_for
 from .schedule import CommSchedule, ScheduleError
 from .stats import RoutingStats
@@ -122,9 +126,6 @@ __all__ = [
     "route_demands",
     "replay_schedule",
 ]
-
-#: Channel-arbitration disciplines accepted by the engine.
-ARBITRATION_POLICIES = ("overtaking", "fifo")
 
 #: Smallest batch worth handing to ``Router.next_hop_array``: below this,
 #: NumPy's fixed per-call overhead loses to scalar next-hop computation.
@@ -206,13 +207,21 @@ def _route_core(
     arbitration: str = "overtaking",
     on_step: StepCallback | None = None,
     timing: bool = False,
+    fault_model: FaultModel | None = None,
+    on_fault: FaultCallback | None = None,
 ) -> tuple[list[dict[int, int]], RoutingStats]:
-    """Shared indexed arbitration loop for permutation and h-relation routing."""
-    if arbitration not in ARBITRATION_POLICIES:
-        raise ValueError(
-            f"unknown arbitration policy {arbitration!r}; "
-            f"expected one of {ARBITRATION_POLICIES}"
+    """Shared indexed arbitration loop for permutation and h-relation routing.
+
+    A fault model hands the job to the indexed degraded loop,
+    :func:`~repro.sim.degraded.route_core_degraded`.
+    """
+    if fault_model is not None:
+        return route_core_degraded(
+            topology, sources, dests, router, max_steps, fault_model,
+            arbitration=arbitration, on_step=on_step, on_fault=on_fault,
+            timing=timing,
         )
+    _check_arbitration(arbitration)
     fifo = arbitration == "fifo"
     n = topology.num_nodes
     hypergraph = topology.channel_model is ChannelModel.HYPERGRAPH_NET
@@ -629,26 +638,17 @@ def _route_or_replay(
     **not** part of the plan key — the cores are bit-identical by
     contract, so a plan recorded by one replays for all.
 
-    An *enabled* fault model routes through the core's **degraded** twin
-    (:func:`~repro.sim.backends.resolve_degraded_backend`) — the indexed
-    or the structure-of-arrays degraded loop, by the same rule — and folds
-    its fingerprint into the plan key: the faulted and fault-free variants
-    of one problem are distinct cache entries by construction.  A disabled model is
-    treated exactly as no model at all.
+    An *enabled* fault model rides along to the same core, picked by the
+    same rule, and folds its fingerprint into the plan key: the faulted
+    and fault-free variants of one problem are distinct cache entries by
+    construction.  A disabled model is treated exactly as no model at all.
     """
     if fault_model is not None and not fault_model.enabled:
         fault_model = None  # attached-but-empty: contractual no-op
-    if arbitration not in ARBITRATION_POLICIES:
-        raise ValueError(
-            f"unknown arbitration policy {arbitration!r}; "
-            f"expected one of {ARBITRATION_POLICIES}"
-        )
+    _check_arbitration(arbitration)
     if backend is None:
         backend = choose_backend(len(sources))
-    if fault_model is not None:
-        route_core = resolve_degraded_backend(backend)
-    else:
-        route_core = resolve_backend(backend)
+    route_core = resolve_backend(backend)
     cache_obj = _resolve_plan_cache(
         cache, on_step, timing,
         fault_hook=fault_model is not None and on_fault is not None,
@@ -664,30 +664,18 @@ def _route_or_replay(
             plan = cache_obj.get(key)
             if plan is not None:
                 return plan.replay_steps(), plan.replay_stats()
-    if fault_model is not None:
-        steps, stats = route_core(
-            topology,
-            sources,
-            dests,
-            router,
-            max_steps,
-            fault_model,
-            arbitration=arbitration,
-            on_step=on_step,
-            on_fault=on_fault,
-            timing=timing,
-        )
-    else:
-        steps, stats = route_core(
-            topology,
-            sources,
-            dests,
-            router,
-            max_steps,
-            arbitration=arbitration,
-            on_step=on_step,
-            timing=timing,
-        )
+    steps, stats = route_core(
+        topology,
+        sources,
+        dests,
+        router,
+        max_steps,
+        arbitration=arbitration,
+        on_step=on_step,
+        timing=timing,
+        fault_model=fault_model,
+        on_fault=on_fault,
+    )
     if key is not None:
         cache_obj.put(key, _plancache.CachedPlan.from_run(steps, stats))
     return steps, stats
@@ -731,8 +719,8 @@ def route_permutation(
         ``"indexed"`` or ``"numpy"`` forces one, as the equivalence
         suites do.  The cores are bit-identical by contract (schedule,
         stats, and plan-cache digests alike), so this only changes how
-        fast the answer is computed; fault-injected runs use the chosen
-        core's degraded twin.  See :mod:`repro.sim.backends`.
+        fast the answer is computed, fault-injected runs included.  See
+        :mod:`repro.sim.backends`.
     on_step:
         Optional :data:`StepCallback` invoked after every committed step.
     timing:

@@ -9,6 +9,8 @@ that contract and the rule; the differential fuzz harness in
 ``tests/properties/test_engine_fuzz.py`` extends them with random draws.
 """
 
+import inspect
+
 import pytest
 
 from repro.faults import FaultModel
@@ -25,10 +27,8 @@ from repro.routing import Permutation, bit_reversal
 from repro.sim import (
     ENGINE_BACKENDS,
     PlanCache,
-    numpy_degraded_core,
     numpy_route_core,
     resolve_backend,
-    resolve_degraded_backend,
     route_demands,
     route_permutation,
 )
@@ -81,17 +81,29 @@ class TestRegistry:
             resolve_backend("fortran")
 
     def test_registry_and_availability(self):
-        """Two cores, both always available, each with a degraded twin."""
+        """Two cores, both always available, both taking a fault model."""
         assert list(ENGINE_BACKENDS) == ["indexed", "numpy"]
         for name in ENGINE_BACKENDS:
-            assert callable(resolve_backend(name))
-            assert callable(resolve_degraded_backend(name))
+            params = inspect.signature(resolve_backend(name)).parameters
+            assert params["fault_model"].default is None
+            assert params["on_fault"].default is None
 
     def test_degraded_resolution(self):
-        assert resolve_degraded_backend("indexed") is route_core_degraded
-        assert resolve_degraded_backend("numpy") is numpy_degraded_core
+        """One resolver for faulted runs too: the indexed core hands an
+        enabled model to the indexed degraded loop, the NumPy core routes
+        it itself, and both give that loop's output."""
+        model = FaultModel(drop_prob=0.3, retry_limit=2, seed=5)
+        for topology in (Mesh2D(4), Hypermesh2D(4)):
+            want = run_degraded(
+                route_core_degraded, topology, model, arbitration="fifo"
+            )
+            for name in ENGINE_BACKENDS:
+                got = run_degraded(
+                    resolve_backend(name), topology, model, arbitration="fifo"
+                )
+                assert_bit_identical(got, want)
         with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_degraded_backend("fortran")
+            resolve_backend("fortran")
 
     def test_missing_numba_is_a_clear_error(self):
         """The numba backend is gone: its name is an unknown core."""
@@ -108,6 +120,26 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown arbitration") as b:
             numpy_route_core(topo, [0], [3], router, 10, arbitration="magic")
         assert str(a.value) == str(b.value)
+
+    def test_bad_arbitration_raises_on_every_faulted_core(self):
+        """Every core, the indexed degraded loop included, rejects an
+        unknown policy with the engine's named error instead of routing
+        it as overtaking."""
+        topo = Mesh2D(4)
+        model = FaultModel(drop_prob=0.2, retry_limit=4, seed=3)
+        messages = set()
+        for core in (route_core_degraded, _route_core, numpy_route_core):
+            with pytest.raises(ValueError, match="unknown arbitration") as e:
+                run_core(
+                    core, topo, list(range(16)),
+                    bit_reversal(16).destinations.tolist(),
+                    fault_model=model, arbitration="bogus",
+                )
+            messages.add(str(e.value))
+        assert messages == {
+            "unknown arbitration policy 'bogus'; "
+            "expected one of ('overtaking', 'fifo')"
+        }
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -204,8 +236,8 @@ class TestBackendSemantics:
     def test_fault_runs_honor_backend(self, backend, monkeypatch):
         """Regression: ``backend=`` used to be ignored for fault runs (they
         were pinned to the indexed degraded loop).  Now an enabled fault
-        model dispatches to the selected backend's degraded core — and that
-        core is *actually executed*, not silently substituted."""
+        model rides along to the selected core — and that core is
+        *actually executed* with it, not silently substituted."""
         import repro.sim.engine as engine_mod
 
         topo = Mesh2D(4)
@@ -221,23 +253,23 @@ class TestBackendSemantics:
         assert with_backend.stats == baseline.stats
 
         calls = []
-        real = numpy_degraded_core
+        real = numpy_route_core
 
         def spy(*a, **k):
-            calls.append(True)
+            calls.append(k["fault_model"])
             return real(*a, **k)
 
         def resolve_spy(name):
-            core = resolve_degraded_backend(name)
+            core = resolve_backend(name)
             return spy if core is real else core
 
-        monkeypatch.setattr(
-            engine_mod, "resolve_degraded_backend", resolve_spy
-        )
+        monkeypatch.setattr(engine_mod, "resolve_backend", resolve_spy)
         again = route_permutation(
             topo, perm, backend="numpy", fault_model=model, cache=False
         )
-        assert calls, "backend='numpy' + fault_model must run the SoA core"
+        assert calls == [model], (
+            "backend='numpy' + fault_model must run the SoA core faulted"
+        )
         assert again.stats == baseline.stats
 
     def test_fault_run_with_unsupported_backend_raises(self, backend):
@@ -330,15 +362,15 @@ def run_degraded(core, topology, model, *, arbitration, seed=7, **kwargs):
     router = router_for(topology)
     max_steps = 100 * (10 * topology.diameter + 10 * n)
     return core(
-        topology, list(range(n)), dests, router, max_steps, model,
-        arbitration=arbitration, **kwargs
+        topology, list(range(n)), dests, router, max_steps,
+        fault_model=model, arbitration=arbitration, **kwargs
     )
 
 
 @pytest.mark.parametrize("arbitration", ["overtaking", "fifo"])
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
 class TestDegradedEquivalence:
-    """The SoA degraded core is bit-identical to the indexed degraded loop
+    """The SoA core with a fault model is bit-identical to the indexed degraded loop
     on every topology family, both arbitration policies, and every fault
     mechanism — including the seeded drop-draw sequence, whose retry/drop
     accounting must land in :class:`RoutingStats` identically."""
@@ -354,7 +386,7 @@ class TestDegradedEquivalence:
                 route_core_degraded, topology, model, arbitration=arbitration
             )
             got = run_degraded(
-                numpy_degraded_core, topology, model, arbitration=arbitration
+                numpy_route_core, topology, model, arbitration=arbitration
             )
             assert_bit_identical(got, want)
 
@@ -364,7 +396,7 @@ class TestDegradedEquivalence:
             route_core_degraded, topology, model, arbitration=arbitration
         )
         _, got = run_degraded(
-            numpy_degraded_core, topology, model, arbitration=arbitration
+            numpy_route_core, topology, model, arbitration=arbitration
         )
         assert got.retried == want.retried
         assert got.dropped == want.dropped
@@ -382,7 +414,7 @@ class TestDegradedEquivalence:
             on_fault=lambda *a: want_events.append(a),
         )
         run_degraded(
-            numpy_degraded_core, topology, model, arbitration=arbitration,
+            numpy_route_core, topology, model, arbitration=arbitration,
             on_fault=lambda *a: got_events.append(a),
         )
         assert got_events == want_events

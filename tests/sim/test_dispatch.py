@@ -28,16 +28,21 @@ def test_threshold_is_one_constant():
 @pytest.mark.parametrize("arbitration", ["overtaking", "fifo"])
 @pytest.mark.parametrize("faulted", [False, True], ids=["fault-free", "faulted"])
 def test_boundary_picks_the_core(arbitration, faulted, monkeypatch):
-    """1023 packets run on the indexed loop, 1024 on the NumPy core."""
+    """1023 packets run on the indexed loop, 1024 on the NumPy core, and
+    a faulted job hands its model to the core that runs it."""
     picked = []
-    for name in ("resolve_backend", "resolve_degraded_backend"):
-        real = getattr(engine_mod, name)
+    real = engine_mod.resolve_backend
 
-        def spy(backend, _real=real, _name=name):
-            picked.append((_name, backend))
-            return _real(backend)
+    def spy(backend):
+        core = real(backend)
 
-        monkeypatch.setattr(engine_mod, name, spy)
+        def run(*args, **kwargs):
+            picked.append((backend, kwargs["fault_model"]))
+            return core(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(engine_mod, "resolve_backend", spy)
     topo = Hypercube(10)
     demands = list(enumerate(bit_reversal(1024).destinations.tolist()))
     model = FaultModel(seed=3, drop_prob=0.2, retry_limit=4) if faulted else None
@@ -46,8 +51,7 @@ def test_boundary_picks_the_core(arbitration, faulted, monkeypatch):
             topo, demands[:packets], arbitration=arbitration,
             fault_model=model, cache=False,
         )
-    resolver = "resolve_degraded_backend" if faulted else "resolve_backend"
-    assert picked == [(resolver, "indexed"), (resolver, "numpy")]
+    assert picked == [("indexed", model), ("numpy", model)]
 
 
 def _blobs(root):

@@ -149,3 +149,79 @@ def test_campaign_rows_all_succeeded():
     for row in data["rows"]:
         assert row["status"] == "ok", f"failed campaign row: {row['task']}"
         assert row["failure_kind"] is None
+
+
+#: Timings are recorded rounded to 6 decimals and ratios to 2 (from the
+#: unrounded seconds), so a ratio recomputed from the recorded fields may
+#: differ from the recorded one by that much and no more.
+_SECONDS_ULP = 5e-7
+_RATIO_ULP = 0.005
+
+
+def _ratio_supported(recorded, num, den):
+    """Whether ``recorded`` is ``num / den`` up to the artifact's rounding."""
+    lo = (num - _SECONDS_ULP) / (den + _SECONDS_ULP)
+    hi = (num + _SECONDS_ULP) / (den - _SECONDS_ULP)
+    return lo - _RATIO_ULP <= recorded <= hi + _RATIO_ULP
+
+
+def test_engine_ratios_follow_from_their_timings():
+    """Every committed engine speedup is the seed loop's median seconds
+    over the core's, and the headline ``best_speedup_at_4096`` is the
+    largest N=4096 row of its core."""
+    data = _load("BENCH_engine.json")
+    for row in data["rows"]:
+        assert _ratio_supported(
+            row["speedup"], row["seed_engine_seconds"], row["engine_seconds"]
+        ), f"speedup not supported by its timings: {row}"
+    best = data.get("best_speedup_at_4096")
+    if 4096 in data["sizes"]:
+        assert set(best) == set(data["backends"])
+    for backend, cell in (best or {}).items():
+        rows = [
+            r for r in data["rows"]
+            if r["n"] == 4096 and r["backend"] == backend
+        ]
+        assert cell["speedup"] == max(r["speedup"] for r in rows), backend
+        assert any(
+            (r["topology"], r["workload"], r["speedup"])
+            == (cell["topology"], cell["workload"], cell["speedup"])
+            for r in rows
+        ), f"best {backend} cell names no row: {cell}"
+
+
+def test_fault_ratios_follow_from_their_timings():
+    """Every committed ``speedup_vs_indexed`` is the indexed row's route
+    seconds over this row's on the same cell, and the headline
+    ``best_degraded_speedup`` is the largest speedup-size row of its
+    core."""
+    data = _load("BENCH_faults.json")
+    routable = [r for r in data["rows"] if not r["unroutable"]]
+    cell = lambda r: (r["topology"], r["n"], r["axis"], r["amount"])  # noqa: E731
+    indexed = {cell(r): r for r in routable if r["backend"] == "indexed"}
+    assert len(indexed) == len(
+        [r for r in routable if r["backend"] == "indexed"]
+    ), "two indexed rows for one fault cell"
+    for row in routable:
+        base = indexed[cell(row)]
+        assert _ratio_supported(
+            row["speedup_vs_indexed"], base["route_seconds"],
+            row["route_seconds"],
+        ), f"speedup_vs_indexed not supported by its timings: {row}"
+    best = data.get("best_degraded_speedup")
+    if data["speedup_sizes"]:
+        assert set(best) == set(data["backends"])
+    for backend, top in (best or {}).items():
+        rows = [
+            r for r in routable
+            if r["backend"] == backend and r["n"] in data["speedup_sizes"]
+        ]
+        assert top["speedup_vs_indexed"] == max(
+            r["speedup_vs_indexed"] for r in rows
+        ), backend
+        assert any(
+            (r["n"], r["axis"], r["amount"], r["speedup_vs_indexed"])
+            == (top["n"], top["axis"], top["amount"],
+                top["speedup_vs_indexed"])
+            for r in rows
+        ), f"best {backend} cell names no row: {top}"
