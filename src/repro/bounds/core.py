@@ -277,11 +277,14 @@ def _compute_capacities(topology, resolved) -> _Capacities:
         return _Capacities(cut=cut, channels=channels, total=total)
     if resolved is None:
         neighbours = [topology.neighbors(v) for v in range(n)]
+        channels = np.fromiter(map(len, neighbours), dtype=np.int64, count=n)
+        # Each crossing link counted once, from its endpoint below the cut.
+        cut = sum(1 for u in range(half) for v in neighbours[u] if v >= half)
     else:
-        neighbours = resolved.surviving_graph(topology).adjacency
-    channels = np.fromiter(map(len, neighbours), dtype=np.int64, count=n)
-    # Each crossing link counted once, from its endpoint below the cut.
-    cut = sum(1 for u in range(half) for v in neighbours[u] if v >= half)
+        graph = resolved.surviving_graph(topology)
+        channels = np.diff(graph.indptr)
+        # Rows are ascending, so the rows below the cut are one CSR prefix.
+        cut = int((graph.indices[: graph.indptr[half]] >= half).sum())
     return _Capacities(cut=cut, channels=channels, total=int(channels.sum()))
 
 

@@ -559,8 +559,8 @@ def _cmd_plans_list(args: argparse.Namespace) -> int:
                 f"{key.get('topology', '?')}  {key.get('router', '?')}/"
                 f"{key.get('arbitration', '?')}"
             )
-        except (json.JSONDecodeError, OSError):
-            label = "(corrupt blob)"
+        except (json.JSONDecodeError, OSError, AttributeError):
+            label = "(corrupt blob)"  # AttributeError: not a JSON object
         rows.append([path.stem[:16], f"{size}", label])
     print(format_table(["digest", "bytes", "key"], rows))
     print(f"{len(blobs)} plans, {cache.disk_bytes()} bytes under {cache.root}")

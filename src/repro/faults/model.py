@@ -13,9 +13,9 @@ pure function of the model's ``seed``:
   fingerprint)`` — the candidate links are enumerated in a canonical order
   before sampling;
 * the intermittent per-transmission drop decision for packet ``pid`` at
-  step ``step`` is a hash of ``(seed, step, pid)`` — **not** a stateful RNG,
-  so it does not depend on arbitration order or on how many other packets
-  were examined first.
+  step ``step`` is a counter-based SplitMix64 hash of ``(seed, step, pid)``
+  — **not** a stateful RNG, so it does not depend on arbitration order or
+  on how many other packets were examined first.
 
 That purity is what lets faulted runs participate in the routing plan
 cache: the model's :meth:`FaultModel.fingerprint` is folded into the
@@ -26,18 +26,48 @@ really do produce bit-identical schedules.
 from __future__ import annotations
 
 import hashlib
+import math
 import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from ..networks.degraded import SurvivingGraph, surviving_adjacency
+from ..networks.degraded import SurvivingGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..networks.base import Topology
 
 __all__ = ["FaultModel", "ResolvedFaults", "UnroutableError", "resolve_faults"]
+
+#: Name of the per-transmission drop draw, folded into
+#: :meth:`FaultModel.fingerprint`: a different draw drops different moves,
+#: so its plans must not share a key with this one's.
+DROP_DRAW = "splitmix64"
+
+_MASK64 = (1 << 64) - 1
+#: SplitMix64's increment (the 64-bit golden ratio) and finalizer multipliers.
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_MUL1_INT = 0xBF58476D1CE4E5B9
+_MUL2_INT = 0x94D049BB133111EB
+_GAMMA = np.uint64(_GAMMA_INT)
+_MUL1 = np.uint64(_MUL1_INT)
+_MUL2 = np.uint64(_MUL2_INT)
+
+
+def _mix64(z: int) -> int:
+    """One SplitMix64 output step on a 64-bit int: add the golden-ratio
+    increment, then the xor-shift-multiply finalizer.
+
+    The drop draw of packet ``p`` at step ``s`` under seed ``k`` is
+    ``_mix64(_mix64(_mix64(k) ^ s) ^ p)`` (every operand masked to 64
+    bits, so negative and oversized seeds are reduced mod 2**64): a
+    counter-based hash, so no draw depends on another.
+    """
+    z = (z + _GAMMA_INT) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2_INT) & _MASK64
+    return z ^ (z >> 31)
 
 
 class UnroutableError(RuntimeError):
@@ -87,8 +117,9 @@ class FaultModel:
         topologies only; ignored for hypergraph networks).
     drop_prob:
         Intermittent per-transmission failure probability: each granted
-        move independently fails with this probability (decided by a hash
-        of ``(seed, step, packet)``), leaving the packet queued to retry.
+        move independently fails with this probability (decided by a
+        SplitMix64 hash of ``(seed, step, packet)``), leaving the packet
+        queued to retry.
     retry_limit:
         Failed transmissions a packet survives before it is permanently
         **dropped** (removed from the network and counted in
@@ -104,7 +135,8 @@ class FaultModel:
     link_fail_fraction: float = 0.0
     drop_prob: float = 0.0
     retry_limit: int | None = None
-    _drop_salt: bytes = field(init=False, repr=False, compare=False, default=b"")
+    _drop_key: int = field(init=False, repr=False, compare=False, default=0)
+    _drop_threshold: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -133,8 +165,12 @@ class FaultModel:
             raise ValueError(
                 f"retry_limit must be >= 0 or None, got {self.retry_limit}"
             )
+        object.__setattr__(self, "_drop_key", _mix64(int(self.seed) & _MASK64))
+        # A move transmits iff its 64-bit draw is >= ceil(p * 2**64), so the
+        # integer comparison the scalar and batch draws share is the exact
+        # ``draw / 2**64 >= p`` (p * 2**64 is exact in binary floating point).
         object.__setattr__(
-            self, "_drop_salt", f"drop:{int(self.seed)}:".encode()
+            self, "_drop_threshold", math.ceil(float(self.drop_prob) * 2**64)
         )
 
     # ------------------------------------------------------------- identity
@@ -166,6 +202,7 @@ class FaultModel:
         if not self.enabled:
             return "none"
         h = hashlib.sha256()
+        h.update(f"draw={DROP_DRAW}".encode())
         h.update(f"seed={self.seed}".encode())
         h.update(
             ("links=" + ",".join(f"{u}-{v}" for u, v in sorted(self.link_failures))).encode()
@@ -183,29 +220,28 @@ class FaultModel:
         """Whether packet ``packet``'s granted move at ``step`` transmits.
 
         Deterministic Bernoulli(1 - drop_prob) draw keyed by ``(seed, step,
-        packet)``: independent of arbitration order, queue contents, and
-        every other packet's fate, so replays and differential runs agree.
+        packet)`` (see :func:`_mix64`): independent of arbitration order,
+        queue contents, and every other packet's fate, so replays and
+        differential runs agree.
         """
         if self.drop_prob <= 0.0:
             return True
         if self.drop_prob >= 1.0:
             return False
-        digest = hashlib.sha256(
-            self._drop_salt + f"{step}:{packet}".encode()
-        ).digest()
-        draw = int.from_bytes(digest[:8], "little") / 2**64
-        return draw >= self.drop_prob
+        step_key = _mix64(self._drop_key ^ (int(step) & _MASK64))
+        return _mix64(step_key ^ (int(packet) & _MASK64)) >= self._drop_threshold
 
     def transmit_ok_batch(self, step: int, packets) -> np.ndarray:
         """Vector :meth:`transmit_ok`: one bool per packet, same draws.
 
-        Each draw is the *identical* SHA-256 hash of ``(seed, step,
-        packet)`` the scalar method computes — a pure per-packet function,
-        so batching cannot reorder or change the sequence — with the
-        degenerate probabilities (0 and 1) short-circuited to one array
-        fill.  This is what lets the structure-of-arrays core settle a
-        whole step's granted transmissions in one call while staying
-        bit-identical to the indexed core's per-move draws.
+        The per-step key is the scalar method's Python int; the per-packet
+        half of the hash runs in ``uint64`` NumPy, whose wrapping multiply
+        is the scalar method's ``& (2**64 - 1)``.  A pure per-packet
+        function, so batching cannot reorder or change the draws — which is
+        what lets the structure-of-arrays core settle a whole step's
+        granted transmissions in one call while staying bit-identical to
+        the indexed core's per-move draws.  The degenerate probabilities
+        (0 and 1) short-circuit to one array fill.
         """
         packets = np.asarray(packets, dtype=np.int64)
         m = packets.shape[0]
@@ -213,22 +249,15 @@ class FaultModel:
             return np.ones(m, dtype=bool)
         if self.drop_prob >= 1.0:
             return np.zeros(m, dtype=bool)
-        salt = self._drop_salt
-        prefix = f"{step}:".encode()
-        prob = self.drop_prob
-        sha256 = hashlib.sha256
-        from_bytes = int.from_bytes
-        return np.fromiter(
-            (
-                from_bytes(
-                    sha256(salt + prefix + b"%d" % pid).digest()[:8],
-                    "little",
-                ) / 2**64 >= prob
-                for pid in packets.tolist()
-            ),
-            dtype=bool,
-            count=m,
-        )
+        step_key = _mix64(self._drop_key ^ (int(step) & _MASK64))
+        z = packets.astype(np.uint64) ^ np.uint64(step_key)
+        z += _GAMMA
+        z ^= z >> np.uint64(30)
+        z *= _MUL1
+        z ^= z >> np.uint64(27)
+        z *= _MUL2
+        z ^= z >> np.uint64(31)
+        return z >= np.uint64(self._drop_threshold)
 
     # ------------------------------------------------------- (de)serializing
     def to_params(self) -> dict:
@@ -321,7 +350,7 @@ class ResolvedFaults:
         entry = self._cache.get(id(topology))
         if entry is not None and entry[0]() is topology:
             return entry[1]
-        graph = SurvivingGraph(surviving_adjacency(topology, self))
+        graph = SurvivingGraph(topology, self)
         self._cache[id(topology)] = (weakref.ref(topology), graph)
         return graph
 
@@ -433,21 +462,24 @@ def _resolve_faults(model: FaultModel, topology: "Topology") -> ResolvedFaults:
                     "net_failures / degraded_nets"
                 )
         else:
-            all_links = sorted(
-                (u, v) if u < v else (v, u) for u, v in topology.links()
-            )
-            link_set = set(all_links)
-            for link in down_links:
-                if link not in link_set:
-                    raise ValueError(
-                        f"fault names link {link} the topology does not have"
-                    )
+            all_links = topology.link_array()
+            if down_links:
+                codes = all_links[:, 0] * n + all_links[:, 1]
+                for u, v in sorted(down_links):
+                    code = u * n + v
+                    at = int(np.searchsorted(codes, code)) if (
+                        0 <= u and v < n) else len(codes)
+                    if at == len(codes) or codes[at] != code:
+                        raise ValueError(
+                            f"fault names link {(u, v)} the topology does "
+                            f"not have"
+                        )
             if model.link_fail_fraction > 0.0:
                 k = int(model.link_fail_fraction * len(all_links))
                 if k:
                     rng = np.random.default_rng(model.seed)
                     picks = rng.choice(len(all_links), size=k, replace=False)
-                    down_links.update(all_links[int(i)] for i in picks)
+                    down_links.update(map(tuple, all_links[picks].tolist()))
 
     return ResolvedFaults(
         model=model,

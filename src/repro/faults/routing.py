@@ -69,9 +69,6 @@ class FaultAwareRouter:
         self._graph = (
             faults.surviving_graph(topology) if self._structural else None
         )
-        self._adjacency = (
-            self._graph.adjacency if self._graph is not None else None
-        )
         self._hypergraph = (
             topology.channel_model is ChannelModel.HYPERGRAPH_NET
         )
@@ -144,7 +141,7 @@ class FaultAwareRouter:
             and self._alive_edge(current, base_hop)
         ):
             return base_hop
-        for nb in self._adjacency[current]:
+        for nb in self._graph.adjacency[current]:
             if dist[nb] == here - 1:
                 return nb
         raise UnroutableError(  # pragma: no cover - dist>0 implies a hop
@@ -153,7 +150,7 @@ class FaultAwareRouter:
 
     def _alive_edge(self, u: int, v: int) -> bool:
         """Whether ``u -> v`` is one surviving step (adjacency probe)."""
-        return v in self._adjacency[u]
+        return v in self._graph.adjacency[u]
 
     def prepare_dests(self, dests) -> None:
         """Warm the BFS tables for every destination in one batched sweep.

@@ -171,9 +171,28 @@ class PointToPointTopology(Topology):
     def links(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected link exactly once as ``(u, v)`` with u < v."""
 
+    @abstractmethod
+    def _link_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Parallel int64 arrays ``(u, v)``, ``u < v``, one entry per
+        undirected link, in any order (see :meth:`link_array`)."""
+
+    def link_array(self) -> np.ndarray:
+        """Every undirected link as an ``(L, 2)`` int64 array of ``(u, v)``
+        rows with ``u < v``, sorted ascending by ``u`` then ``v``.
+
+        The same rows as ``sorted(self.links())``, built from coordinate
+        arithmetic instead of one :meth:`neighbors` call per node: fault
+        sampling draws from this order, so it is part of the fault model's
+        determinism contract.
+        """
+        u, v = self._link_endpoints()
+        n = self.num_nodes
+        codes = np.sort(u * n + v)
+        return np.stack((codes // n, codes % n), axis=1)
+
     def num_links(self) -> int:
         """Number of undirected links."""
-        return sum(1 for _ in self.links())
+        return len(self._link_endpoints()[0])
 
     def to_networkx(self):
         """Build a ``networkx.Graph`` view (requires the optional extra)."""

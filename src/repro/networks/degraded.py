@@ -15,11 +15,13 @@ engine's arbitration order is stable across runs.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .base import ChannelModel, HypergraphTopology, Topology
+from .base import ChannelModel, Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.model import ResolvedFaults
@@ -43,37 +45,86 @@ def surviving_adjacency(
     A down node keeps an empty neighbour list and appears in no other
     node's list.  Hypergraph edges exist where the two nodes share at least
     one net that is not hard-down (degraded nets count: they still carry
-    packets, one per step).
+    packets, one per step).  Each tuple is ascending: row ``u`` of the
+    CSR image :class:`SurvivingGraph` builds.
+    """
+    indptr, indices = _csr_of_codes(_surviving_edge_codes(topology, faults),
+                                    topology.num_nodes)
+    return _csr_rows(indptr, indices)
+
+
+def _surviving_edge_codes(
+    topology: Topology, faults: "ResolvedFaults"
+) -> np.ndarray:
+    """Sorted, distinct directed surviving edges as ``u * n + v`` codes.
+
+    Built from whole arrays: the point-to-point families' sorted
+    :meth:`~repro.networks.base.PointToPointTopology.link_array` minus the
+    down links and every link touching a down node, both directions; or,
+    on a hypergraph, every ordered pair of distinct alive members of each
+    alive net.  Sorting the codes orders the edges by source and then by
+    neighbour, which is the CSR layout.
     """
     n = topology.num_nodes
-    down_nodes = faults.down_nodes
-    adjacency: list[tuple[int, ...]] = [()] * n
+    down = np.zeros(n, dtype=bool)
+    if faults.down_nodes:
+        down[np.fromiter(faults.down_nodes, dtype=np.int64,
+                         count=len(faults.down_nodes))] = True
     if topology.channel_model is ChannelModel.HYPERGRAPH_NET:
-        assert isinstance(topology, HypergraphTopology)
         nets = topology.nets()
-        neighbour_sets: list[set[int]] = [set() for _ in range(n)]
-        for net_id, members in enumerate(nets):
-            if faults.net_down(net_id):
-                continue
-            alive = [m for m in members if m not in down_nodes]
-            for m in alive:
-                neighbour_sets[m].update(alive)
-        for node in range(n):
-            neighbour_sets[node].discard(node)
-            if node not in down_nodes:
-                adjacency[node] = tuple(sorted(neighbour_sets[node]))
-        return adjacency
-    for node in range(n):
-        if node in down_nodes:
-            continue
-        adjacency[node] = tuple(
-            sorted(
-                nb
-                for nb in topology.neighbors(node)
-                if nb not in down_nodes and not faults.link_down(node, nb)
-            )
+        sizes = np.fromiter(map(len, nets), dtype=np.int64, count=len(nets))
+        members = np.fromiter(chain.from_iterable(nets), dtype=np.int64,
+                              count=int(sizes.sum()))
+        net_of = np.repeat(np.arange(len(nets), dtype=np.int64), sizes)
+        alive = ~down[members]
+        if faults.down_nets:
+            net_down = np.zeros(len(nets), dtype=bool)
+            net_down[np.fromiter(faults.down_nets, dtype=np.int64,
+                                 count=len(faults.down_nets))] = True
+            alive &= ~net_down[net_of]
+        members, net_of = members[alive], net_of[alive]
+        net_ptr = np.zeros(len(nets) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(net_of, minlength=len(nets)), out=net_ptr[1:])
+        # Each alive membership pairs with every alive member of its net.
+        rows, others = _csr_gather(net_ptr, members, net_of)
+        u = members[rows]
+        keep = u != others
+        # Two nets may share a pair: sort, then keep each code's first copy
+        # (np.unique would do it too, but imports numpy.ma on NumPy 2.x).
+        codes = np.sort(u[keep] * n + others[keep])
+        first = np.ones(codes.shape[0], dtype=bool)
+        first[1:] = codes[1:] != codes[:-1]
+        return codes[first]
+    links = topology.link_array()
+    u, v = links[:, 0], links[:, 1]
+    keep = ~(down[u] | down[v])
+    if faults.down_links:
+        codes = u * n + v  # ascending: the links are sorted
+        cut = np.fromiter(
+            (a * n + b for a, b in faults.down_links
+             if 0 <= a and b < n),
+            dtype=np.int64,
         )
-    return adjacency
+        at = np.minimum(np.searchsorted(codes, cut), codes.shape[0] - 1)
+        keep[at[codes[at] == cut]] = False
+    u, v = u[keep], v[keep]
+    return np.sort(np.concatenate((u * n + v, v * n + u)))
+
+
+def _csr_of_codes(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of sorted directed edge codes ``u * n + v``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
+    return indptr, codes % n
+
+
+def _csr_rows(
+    indptr: np.ndarray, indices: np.ndarray
+) -> list[tuple[int, ...]]:
+    """The CSR rows as per-node tuples of Python ints."""
+    flat = indices.tolist()
+    bounds = indptr.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def reachable_from(adjacency: Sequence[Sequence[int]], start: int) -> set[int]:
@@ -250,22 +301,23 @@ class SurvivingGraph:
     destination-indexed int64 matrix for the vectorized path.
     """
 
-    def __init__(self, adjacency: Sequence[tuple[int, ...]]):
-        self.adjacency = adjacency
-        self.indptr, self.indices = surviving_csr(adjacency)
-        n = len(adjacency)
+    def __init__(self, topology: Topology, faults: "ResolvedFaults"):
+        n = topology.num_nodes
         self.num_nodes = n
         #: Sorted directed-edge codes ``u * n + v`` for O(log E) alive-edge
-        #: membership probes (rows are ascending within ascending nodes, so
-        #: the concatenation is globally sorted already).
-        self.edge_codes = (
-            np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(self.indptr)
-            ) * n + self.indices
-        )
+        #: membership probes; the CSR image is derived from them.
+        self.edge_codes = _surviving_edge_codes(topology, faults)
+        self.indptr, self.indices = _csr_of_codes(self.edge_codes, n)
         self._dist_lists: dict[int, list[int]] = {}
         self._table: np.ndarray | None = None
         self._dest_row = np.full(n, -1, dtype=np.int64)
+
+    @cached_property
+    def adjacency(self) -> list[tuple[int, ...]]:
+        """Per-node ascending neighbour tuples (the CSR rows), built on
+        first use: only the scalar router path and the certifier read
+        them."""
+        return _csr_rows(self.indptr, self.indices)
 
     # ----------------------------------------------------------- distances
     def distances_list(self, dest: int) -> list[int]:

@@ -68,6 +68,15 @@ class Hypercube(PointToPointTopology):
                 if node < nb:
                     yield (node, nb)
 
+    def _link_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per dimension ``d``: each node with bit ``d`` clear links to its
+        partner with bit ``d`` set."""
+        nodes = np.arange(self.num_nodes, dtype=np.int64)
+        us = [nodes[(nodes >> d) & 1 == 0] for d in range(self._dimension)]
+        return np.concatenate(us), np.concatenate(
+            [u | (1 << d) for d, u in enumerate(us)]
+        )
+
     def distance(self, node_a: int, node_b: int) -> int:
         """Hamming distance between the two addresses."""
         self.validate_node(node_a)

@@ -21,6 +21,37 @@ from .base import PointToPointTopology
 __all__ = ["Mesh", "Mesh2D"]
 
 
+def _grid_link_endpoints(
+    radices: Sequence[int], *, wrap: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, v)`` link arrays of a mesh (``wrap=False``) or torus.
+
+    Per dimension of stride ``s`` and extent ``r``: node ``u`` at
+    coordinate ``c < r - 1`` links to ``u + s``; with ``wrap`` and
+    ``r > 2`` the node at coordinate 0 also links to the one at ``r - 1``
+    (``u + (r - 1) * s``).  An extent-2 ring's wrap-around would repeat
+    its mesh link, so it is omitted, as :class:`~repro.networks.torus.
+    Torus` does.
+    """
+    n = 1
+    for r in radices:
+        n *= r
+    nodes = np.arange(n, dtype=np.int64)
+    coords = to_mixed_radix_array(nodes, radices)
+    us, vs = [], []
+    stride = n
+    for dim, extent in enumerate(radices):
+        stride //= extent
+        u = nodes[coords[dim] < extent - 1]
+        us.append(u)
+        vs.append(u + stride)
+        if wrap and extent > 2:
+            u = nodes[coords[dim] == 0]
+            us.append(u)
+            vs.append(u + (extent - 1) * stride)
+    return np.concatenate(us), np.concatenate(vs)
+
+
 class Mesh(PointToPointTopology):
     """An n-dimensional mesh with extents ``radices`` and no wrap-around.
 
@@ -86,6 +117,10 @@ class Mesh(PointToPointTopology):
             for nb in self.neighbors(node):
                 if node < nb:
                     yield (node, nb)
+
+    def _link_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """One link per node and dimension whose coordinate can step +1."""
+        return _grid_link_endpoints(self._radices, wrap=False)
 
     def distance(self, node_a: int, node_b: int) -> int:
         """Manhattan distance."""

@@ -21,6 +21,7 @@ import numpy as np
 
 from .addressing import from_mixed_radix, to_mixed_radix, to_mixed_radix_array
 from .base import PointToPointTopology
+from .mesh import _grid_link_endpoints
 
 __all__ = ["Torus", "Torus2D"]
 
@@ -86,6 +87,10 @@ class Torus(PointToPointTopology):
             for nb in self.neighbors(node):
                 if node < nb:
                     yield (node, nb)
+
+    def _link_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mesh links plus one wrap-around link per ring of extent > 2."""
+        return _grid_link_endpoints(self._radices, wrap=True)
 
     def distance(self, node_a: int, node_b: int) -> int:
         """Sum over dimensions of the shorter way around the ring."""

@@ -358,6 +358,8 @@ class RoutingService:
         except FileNotFoundError:
             return 404, {"error": f"no plan {digest!r} under {self.cache.root}"}
         except (OSError, _json.JSONDecodeError):
+            payload = None
+        if not isinstance(payload, dict):
             return 404, {
                 "error": f"plan {digest!r} is unreadable (corrupt blob)"
             }

@@ -34,6 +34,7 @@ falls back to live routing, never to a wrong plan.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import json
@@ -61,6 +62,7 @@ __all__ = [
     "STATS_SIDECAR",
     "PlanKey",
     "CachedPlan",
+    "PlanBlobError",
     "PlanCache",
     "topology_fingerprint",
     "demands_digest",
@@ -79,7 +81,22 @@ __all__ = [
 #: matching any key and are re-planned instead of replayed wrongly.
 #: Version 2: keys gained the ``fault`` component and recorded stats gained
 #: the ``dropped`` / ``retried`` counters (fault-injection PR).
-PLAN_SCHEMA_VERSION = 2
+#: Version 3: intermittent drops are drawn by a SplitMix64 hash instead of
+#: SHA-256 (a faulted run with ``drop_prob`` drops different moves), and
+#: blobs store steps as per-step lengths plus base64 int32 ``pids`` /
+#: ``nodes`` arrays instead of nested JSON lists.
+PLAN_SCHEMA_VERSION = 3
+
+#: Item type of a blob's ``pids`` and ``nodes`` arrays.
+_BLOB_ITEM = np.dtype("<i4")
+
+
+class PlanBlobError(ValueError):
+    """A plan blob whose step arrays do not decode (bad base64, a byte
+    count that is not a whole number of items, torn ``pids`` / ``nodes``
+    arrays, or step lengths that do not partition them).  The disk tier
+    counts it as ``corrupt`` and routes live."""
+
 
 #: Default root of the on-disk tier (``disk_cache()`` / ``cache="disk"``).
 DEFAULT_PLAN_ROOT = Path("results/plans")
@@ -314,25 +331,76 @@ class CachedPlan:
 
     # ------------------------------------------------------------- blob I/O
     def to_payload(self) -> dict:
-        """JSON-serializable blob body: steps as parallel id/node arrays."""
+        """JSON-serializable blob body.
+
+        ``steps`` holds each step's move count; ``pids`` and ``nodes`` are
+        every step's packet ids and destination nodes concatenated in step
+        order and, within a step, in the dict's insertion order, each
+        stored as base64 of a little-endian int32 array.
+        """
+        steps = self.steps
+        total = sum(map(len, steps))
+        try:
+            pids = np.fromiter(
+                itertools.chain.from_iterable(steps), _BLOB_ITEM, total
+            )
+            nodes = np.fromiter(
+                itertools.chain.from_iterable(s.values() for s in steps),
+                _BLOB_ITEM, total,
+            )
+        except OverflowError as exc:
+            raise PlanBlobError(
+                f"a packet id or node does not fit the blob's int32: {exc}"
+            ) from None
         return {
-            "steps": [
-                [list(step.keys()), list(step.values())] for step in self.steps
-            ],
+            "steps": [len(step) for step in steps],
+            "pids": base64.b64encode(pids.tobytes()).decode("ascii"),
+            "nodes": base64.b64encode(nodes.tobytes()).decode("ascii"),
             "stats": dict(self.stats_fields),
         }
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "CachedPlan":
+        """Inverse of :meth:`to_payload`; raises :class:`PlanBlobError`
+        (or the ``KeyError`` / ``TypeError`` / ``ValueError`` of a
+        malformed field) when the arrays do not decode into steps."""
+        lengths = payload["steps"]
+        pids = _decode_array(payload["pids"], "pids").tolist()
+        nodes = _decode_array(payload["nodes"], "nodes").tolist()
+        if len(pids) != len(nodes):
+            raise PlanBlobError(
+                f"torn step arrays: {len(pids)} packet ids, {len(nodes)} nodes"
+            )
+        if any(k < 0 for k in lengths) or sum(lengths) != len(pids):
+            raise PlanBlobError(
+                f"step lengths do not partition the {len(pids)} recorded moves"
+            )
         steps = []
-        for pids, nodes in payload["steps"]:
-            if len(pids) != len(nodes):
-                raise ValueError("torn step arrays")
-            steps.append({int(p): int(v) for p, v in zip(pids, nodes)})
-        stats = payload["stats"]
-        plan = cls(steps=tuple(steps), stats_fields=dict(stats))
+        at = 0
+        for k in lengths:
+            step = dict(zip(pids[at:at + k], nodes[at:at + k]))
+            if len(step) != k:
+                raise PlanBlobError("a packet moves twice in one recorded step")
+            steps.append(step)
+            at += k
+        plan = cls(steps=tuple(steps), stats_fields=dict(payload["stats"]))
         plan.replay_stats()  # validates required counters are present/typed
         return plan
+
+
+def _decode_array(text: str, name: str) -> np.ndarray:
+    """One base64 int32 array of a blob (:class:`PlanBlobError` if it is
+    not valid base64 of a whole number of items)."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
+        raise PlanBlobError(f"{name} is not base64: {exc}") from None
+    if len(raw) % _BLOB_ITEM.itemsize:
+        raise PlanBlobError(
+            f"{name} holds {len(raw)} bytes, not a whole number of "
+            f"{_BLOB_ITEM.itemsize}-byte items"
+        )
+    return np.frombuffer(raw, dtype=_BLOB_ITEM)
 
 
 class PlanCache:
@@ -416,9 +484,13 @@ class PlanCache:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(
-            {"schema": key.schema, "key": key.to_dict(), **plan.to_payload()}
-        )
+        payload = plan.to_payload()
+        pids, nodes = payload.pop("pids"), payload.pop("nodes")
+        head = json.dumps({"schema": key.schema, "key": key.to_dict(), **payload})
+        # The two base64 arrays are most of the blob and need no JSON
+        # escaping, so they are spliced in verbatim rather than scanned by
+        # json.dumps character by character.
+        blob = f'{head[:-1]}, "pids": "{pids}", "nodes": "{nodes}"}}'
         # Per-process unique staging name: a shared `<digest>.tmp` would let
         # two processes recording the same key interleave writes and rename
         # a torn file into place.  With unique names each rename installs a
@@ -444,6 +516,8 @@ class PlanCache:
             return None
         try:
             payload = json.loads(path.read_text())
+            if not isinstance(payload, dict):
+                raise PlanBlobError("plan blob is not a JSON object")
             if payload.get("schema") != key.schema:
                 return None  # stale engine schema: re-plan, don't replay
             if payload.get("key") != key.to_dict():

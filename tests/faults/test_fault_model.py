@@ -1,9 +1,19 @@
-"""Unit tests for FaultModel / resolve_faults (declaration + validation)."""
+"""Unit tests for FaultModel / resolve_faults (declaration + validation)
+and the pinned SplitMix64 drop draw."""
 
 from __future__ import annotations
 
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import repro
 from repro.faults import FaultModel, resolve_faults
 from repro.networks import Hypermesh2D, Mesh2D
 
@@ -68,6 +78,132 @@ class TestFaultModel:
         ]
         rate = 1 - sum(draws) / len(draws)
         assert 0.25 < rate < 0.35  # 1000 hash draws around p=0.3
+
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix64(z: int) -> int:
+    """Reference SplitMix64 output step (Steele, Lea and Flood 2014)."""
+    z = (z + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _reference_draw(seed: int, step: int, packet: int) -> int:
+    """The documented drop draw: SplitMix64 chained over seed, step and
+    packet, each reduced mod 2**64."""
+    key = _splitmix64(seed & _M64)
+    return _splitmix64(_splitmix64(key ^ (step & _M64)) ^ (packet & _M64))
+
+
+#: (seed, step, packet) -> 64-bit draw, pinned: negative seeds, seeds at
+#: and past 2**63 and 2**64, large steps and packet ids up to 2**63 - 1.
+DRAW_VECTORS = [
+    ((0, 0, 0), 0x238275BC38FCBE91),
+    ((0, 0, 1), 0x2F32A78496C67C60),
+    ((1, 2, 3), 0xD0734750FDE362B3),
+    ((12345, 7, 99), 0x59329E80F6070F27),
+    ((-1, 0, 5), 0x0A91F9A39330B1F3),
+    ((-2**63, 3, 4), 0xEA87030C881A4868),
+    ((2**63, 1, 1), 0x48E066E2F50F0BBD),
+    ((2**64 - 1, 5, 6), 0xBE326251F6C98D3B),
+    ((2**70 + 3, 2, 8), 0x799B0E4A3A795754),
+    ((7, 10**6, 2**40), 0xF6BEB882453A316E),
+    ((7, 3, 2**62 + 11), 0x117FEAA8DF14C38B),
+    ((-99, 0, 2**63 - 1), 0x14DF486CB8A97B34),
+]
+
+
+class TestDropDraw:
+    """The per-transmission drop draw is a counter-based SplitMix64 hash:
+    a move transmits iff its draw is >= ceil(drop_prob * 2**64)."""
+
+    def test_reference_is_splitmix64(self):
+        # The first output of SplitMix64 seeded with 0, as published.
+        assert _splitmix64(0) == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize("case,draw", DRAW_VECTORS)
+    def test_pinned_vectors(self, case, draw):
+        assert _reference_draw(*case) == draw
+        seed, step, packet = case
+        for p in (0.05, 0.2, 0.5, 0.9, 1e-300):
+            model = FaultModel(seed=seed, drop_prob=p)
+            assert model.transmit_ok(step, packet) == (
+                draw >= math.ceil(p * 2**64)
+            )
+
+    def test_pinned_bools_at_one_half(self):
+        got = [
+            FaultModel(seed=seed, drop_prob=0.5).transmit_ok(step, packet)
+            for (seed, step, packet), _ in DRAW_VECTORS
+        ]
+        assert got == [False, False, True, False, False, True, False, True,
+                       False, True, False, False]
+
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
+    def test_batch_equals_scalar_on_the_vectors(self, p):
+        by_seed_step: dict = {}
+        for (seed, step, packet), _ in DRAW_VECTORS:
+            by_seed_step.setdefault((seed, step), []).append(packet)
+        by_seed_step[(2**63 + 5, 17)] = [0, 1, 2**31, 2**40, 2**63 - 1]
+        for (seed, step), packets in by_seed_step.items():
+            model = FaultModel(seed=seed, drop_prob=p)
+            batch = model.transmit_ok_batch(
+                step, np.asarray(packets, dtype=np.int64))
+            assert batch.dtype == bool
+            assert batch.tolist() == [
+                model.transmit_ok(step, packet) for packet in packets
+            ]
+
+    def test_same_draws_in_another_process(self):
+        script = (
+            "import json, sys\n"
+            "from repro.faults import FaultModel\n"
+            "m = FaultModel(seed=-7, drop_prob=0.3)\n"
+            "print(json.dumps([m.transmit_ok(s, p) for s in range(20)"
+            " for p in (0, 1, 2**40, 2**62)]))\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345",
+               "PYTHONPATH": os.pathsep.join(
+                   [str(Path(repro.__file__).parents[1]),
+                    os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120, check=True,
+        )
+        model = FaultModel(seed=-7, drop_prob=0.3)
+        assert json.loads(out.stdout) == [
+            model.transmit_ok(s, p) for s in range(20)
+            for p in (0, 1, 2**40, 2**62)
+        ]
+
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.5])
+    def test_binomial_drop_rate(self, p):
+        model = FaultModel(seed=2024, drop_prob=p)
+        packets = np.arange(2000, dtype=np.int64)
+        drops = sum(
+            int((~model.transmit_ok_batch(step, packets)).sum())
+            for step in range(60)
+        )
+        trials = 60 * packets.size  # 120k draws
+        mean = trials * p
+        assert abs(drops - mean) <= 5 * math.sqrt(mean * (1 - p))
+
+    def test_empty_batch(self):
+        out = FaultModel(drop_prob=0.4).transmit_ok_batch(
+            3, np.array([], dtype=np.int64))
+        assert out.shape == (0,) and out.dtype == bool
+
+    def test_fingerprint_covers_the_draw(self, monkeypatch):
+        from repro.faults import model as fault_model
+
+        assert fault_model.DROP_DRAW == "splitmix64"
+        model = FaultModel(seed=1, drop_prob=0.2)
+        before = model.fingerprint()
+        monkeypatch.setattr(fault_model, "DROP_DRAW", "another-draw")
+        assert model.fingerprint() != before
 
 
 class TestResolveFaults:

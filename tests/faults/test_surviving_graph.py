@@ -13,7 +13,12 @@ Three contracts live here:
   so repeated ``route_demands`` calls against one fault configuration share
   a single adjacency/CSR/BFS structure instead of rebuilding it per call;
 * :meth:`FaultModel.transmit_ok_batch` reproduces the scalar
-  :meth:`FaultModel.transmit_ok` draw sequence exactly.
+  :meth:`FaultModel.transmit_ok` draw sequence exactly;
+* the array-built fault structures — ``link_array``, the sampled
+  ``down_links``, :func:`~repro.networks.degraded.surviving_adjacency` and
+  the :class:`~repro.networks.degraded.SurvivingGraph` CSR and edge codes —
+  equal the per-node and per-link loops they replaced, kept below as
+  oracles, on every family at several sizes.
 """
 
 from __future__ import annotations
@@ -24,7 +29,16 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultModel, resolve_faults
-from repro.networks import Hypercube, Mesh2D, Torus2D
+from repro.networks import (
+    Hypercube,
+    Hypermesh,
+    Hypermesh2D,
+    Mesh,
+    Mesh2D,
+    Torus,
+    Torus2D,
+)
+from repro.networks.base import HypergraphTopology
 from repro.networks.degraded import (
     SurvivingGraph,
     batched_surviving_distances,
@@ -158,6 +172,141 @@ class TestBatchedDrops:
             ]
 
     def test_degenerate_probabilities_short_circuit(self):
-        pids = np.arange(8, dtype=np.int64)
-        assert FaultModel(drop_prob=0.0).transmit_ok_batch(3, pids).all()
-        assert not FaultModel(drop_prob=1.0).transmit_ok_batch(3, pids).any()
+        pids = np.array([0, 5, 7, 2**40], dtype=np.int64)
+        for seed in (0, -3, 2**64 + 1):
+            never = FaultModel(seed=seed, drop_prob=0.0)
+            always = FaultModel(seed=seed, drop_prob=1.0)
+            for step in (0, 3):
+                assert never.transmit_ok_batch(step, pids).all()
+                assert not always.transmit_ok_batch(step, pids).any()
+                assert all(never.transmit_ok(step, int(p)) for p in pids)
+                assert not any(always.transmit_ok(step, int(p)) for p in pids)
+
+
+# --------------------------------------------------------------- oracles
+def _oracle_links(topo):
+    """Every undirected link, sorted: the enumeration fault sampling used
+    before ``link_array``."""
+    return sorted((u, v) if u < v else (v, u) for u, v in topo.links())
+
+
+def _oracle_down_links(model, topo):
+    """``ResolvedFaults.down_links`` as the per-link resolver built it."""
+    down = set(model.link_failures)
+    if model.link_fail_fraction > 0.0:
+        all_links = _oracle_links(topo)
+        k = int(model.link_fail_fraction * len(all_links))
+        if k:
+            rng = np.random.default_rng(model.seed)
+            picks = rng.choice(len(all_links), size=k, replace=False)
+            down.update(all_links[int(i)] for i in picks)
+    return frozenset(down)
+
+
+def _oracle_adjacency(topo, faults):
+    """The per-node surviving-adjacency loop (neighbour sets per net on a
+    hypergraph)."""
+    n = topo.num_nodes
+    down_nodes = faults.down_nodes
+    adjacency = [()] * n
+    if isinstance(topo, HypergraphTopology):
+        neighbour_sets = [set() for _ in range(n)]
+        for net_id, members in enumerate(topo.nets()):
+            if faults.net_down(net_id):
+                continue
+            alive = [m for m in members if m not in down_nodes]
+            for m in alive:
+                neighbour_sets[m].update(alive)
+        for node in range(n):
+            neighbour_sets[node].discard(node)
+            if node not in down_nodes:
+                adjacency[node] = tuple(sorted(neighbour_sets[node]))
+        return adjacency
+    for node in range(n):
+        if node in down_nodes:
+            continue
+        adjacency[node] = tuple(sorted(
+            nb for nb in topo.neighbors(node)
+            if nb not in down_nodes and not faults.link_down(node, nb)
+        ))
+    return adjacency
+
+
+POINT_TO_POINT = [
+    Mesh((2,)), Mesh((7,)), Mesh((2, 5)), Mesh((5, 2)), Mesh2D(4), Mesh2D(8),
+    Mesh((3, 4, 2)), Torus((2,)), Torus((3,)), Torus((2, 2, 2)),
+    Torus((2, 5)), Torus((6, 2, 3)), Torus2D(4), Torus2D(5), Hypercube(1),
+    Hypercube(2), Hypercube(5), Hypercube(7),
+]
+
+
+def _fault_models(topo):
+    """Link failures, node failures and fraction sampling, alone and mixed."""
+    links = _oracle_links(topo)
+    n = topo.num_nodes
+    return [
+        FaultModel(seed=3, link_failures=links[::3]),
+        FaultModel(seed=3, node_failures={0, n - 1}),
+        FaultModel(seed=4, link_fail_fraction=0.3),
+        FaultModel(seed=9, link_fail_fraction=1.0),
+        FaultModel(seed=5, link_failures=links[-1:], node_failures={n // 2},
+                   link_fail_fraction=0.2, drop_prob=0.1),
+    ]
+
+
+class TestArrayBuiltStructures:
+    @pytest.mark.parametrize("topo", POINT_TO_POINT, ids=repr)
+    def test_link_array_is_the_sorted_links(self, topo):
+        links = topo.link_array()
+        assert links.dtype == np.int64 and links.shape == (
+            len(_oracle_links(topo)), 2)
+        assert list(map(tuple, links.tolist())) == _oracle_links(topo)
+        assert topo.num_links() == len(links)
+
+    @pytest.mark.parametrize("topo", POINT_TO_POINT, ids=repr)
+    def test_structures_equal_the_loops(self, topo):
+        for model in _fault_models(topo):
+            faults = resolve_faults(model, topo)
+            assert faults.down_links == _oracle_down_links(model, topo)
+            want = _oracle_adjacency(topo, faults)
+            self._assert_graph(topo, faults, want)
+
+    @pytest.mark.parametrize(
+        "topo", [Hypermesh(2, 1), Hypermesh(3, 2), Hypermesh2D(4),
+                 Hypermesh(2, 4)], ids=repr)
+    def test_hypergraph_structures_equal_the_loop(self, topo):
+        n, nets = topo.num_nodes, topo.num_nets()
+        for model in (
+            FaultModel(seed=1, node_failures={0, n - 1}),
+            FaultModel(seed=1, net_failures={0, nets - 1}),
+            FaultModel(seed=1, net_failures={nets - 1},
+                       degraded_nets={0} if nets > 1 else (),
+                       node_failures={1}),
+        ):
+            faults = resolve_faults(model, topo)
+            self._assert_graph(topo, faults, _oracle_adjacency(topo, faults))
+
+    @staticmethod
+    def _assert_graph(topo, faults, want):
+        got = surviving_adjacency(topo, faults)
+        assert got == want
+        assert all(type(row) is tuple for row in got)
+        assert all(type(v) is int for row in got for v in row)
+        graph = SurvivingGraph(topo, faults)
+        indptr, indices = surviving_csr(want)
+        n = topo.num_nodes
+        codes = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n
+        for name, arr, ref in (
+            ("indptr", graph.indptr, indptr),
+            ("indices", graph.indices, indices),
+            ("edge_codes", graph.edge_codes, codes + indices),
+        ):
+            assert arr.dtype == np.int64, name
+            assert arr.tolist() == ref.tolist(), name
+        assert graph.adjacency == want
+
+    def test_unknown_explicit_link_still_rejected(self):
+        topo = Torus((2, 5))
+        for link in [(0, 2), (0, 10), (-1, 0), (3, 99)]:
+            with pytest.raises(ValueError, match="topology does not have"):
+                resolve_faults(FaultModel(link_failures={link}), topo)

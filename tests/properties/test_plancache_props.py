@@ -15,13 +15,19 @@ The service's :class:`~repro.service.jobs.PlanKeyMemo` skips that
 derivation for requests it has seen, so it gets the same scrutiny: a
 memoized key must equal a freshly derived one whatever request field
 moves, and a schema bump must re-key rather than serve a stale key.
+
+The blob format round-trips any recorded plan, dict iteration order
+included, and a cut ``pids`` or ``nodes`` array never decodes.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import tempfile
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -29,7 +35,12 @@ from repro.faults import FaultModel
 from repro.networks import Hypercube, Mesh2D, Torus2D
 from repro.service.jobs import PlanKeyMemo, RouteRequest
 from repro.sim import PlanCache, plan_key, plancache, route_demands
-from repro.sim.plancache import PlanKey, fault_fingerprint
+from repro.sim.plancache import (
+    CachedPlan,
+    PlanBlobError,
+    PlanKey,
+    fault_fingerprint,
+)
 from repro.sim.routers import router_for
 from repro.sim.task import build_topology, build_workload
 
@@ -289,3 +300,53 @@ def test_schema_bump_rekeys_memoized_requests(monkeypatch):
     assert after.digest != before.digest
     assert after == _fresh_key(body)
     assert len(memo) == 2  # the stale entry is unreachable, not reused
+
+
+# ------------------------------------------------------------ blob format
+#: Counters every recorded plan carries (values are irrelevant here).
+_STATS = {"steps": 0, "total_hops": 0, "max_queue_depth": 0,
+          "blocked_moves": 0, "delivered": 0, "dropped": 0, "retried": 0,
+          "per_step_moves": []}
+
+
+@st.composite
+def recorded_plans(draw):
+    """Plans with empty steps, int32-extreme ids and arbitrary (not
+    ascending) insertion order within each step."""
+    ids = st.integers(0, 2**31 - 1)
+    steps = []
+    for _ in range(draw(st.integers(0, 5))):
+        pids = draw(st.lists(ids, unique=True, max_size=12))
+        nodes = draw(st.lists(ids, min_size=len(pids), max_size=len(pids)))
+        steps.append(dict(zip(pids, nodes)))
+    return CachedPlan(steps=tuple(steps), stats_fields=dict(_STATS))
+
+
+def _ordered(steps):
+    return [list(step.items()) for step in steps]
+
+
+@given(recorded_plans())
+def test_blob_round_trip_keeps_every_step_in_order(plan):
+    payload = json.loads(json.dumps(plan.to_payload()))
+    assert _ordered(CachedPlan.from_payload(payload).steps) == _ordered(
+        plan.steps)
+    # And through the disk tier's own blob text, read by a fresh cache.
+    key = PlanKey(topology="t", demands="d", router="r",
+                  arbitration="overtaking")
+    with tempfile.TemporaryDirectory() as root:
+        PlanCache(root).put(key, plan)
+        reader = PlanCache(root)
+        replayed = reader.get(key)
+        assert reader.corrupt == 0 and replayed is not None
+        assert _ordered(replayed.steps) == _ordered(plan.steps)
+
+
+@given(recorded_plans().filter(lambda p: any(p.steps)), st.integers(1, 7),
+       st.sampled_from(["pids", "nodes"]))
+def test_cut_arrays_never_decode(plan, cut, field):
+    payload = plan.to_payload()
+    raw = base64.b64decode(payload[field])
+    payload[field] = base64.b64encode(raw[:-cut]).decode("ascii")
+    with pytest.raises(PlanBlobError):
+        CachedPlan.from_payload(payload)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.service import ENDPOINTS
+from repro.sim.plancache import PLAN_SCHEMA_VERSION
 
 CHEAP_JOB = {"topology": "mesh2d", "n": 16, "workload": "dense-permutation"}
 
@@ -129,9 +130,19 @@ class TestPlans:
         assert response.ok
         assert response.body["digest"] == digest
         assert response.body["steps"] > 0
+        # One entry per recorded step, whatever the blob's array encoding.
+        assert response.body["steps"] == response.body["stats"]["steps"]
+        assert response.body["schema"] == PLAN_SCHEMA_VERSION
         assert response.body["bytes"] > 0
         assert response.body["key"]["topology"]
         assert response.body["stats"]["delivered"] == 16
+
+    def test_non_object_blob_404(self, runner, client):
+        digest = client.route(CHEAP_JOB).body["digest"]
+        (runner.service.cache.root / f"{digest}.json").write_text("[1, 2]")
+        response = client.plan(digest)
+        assert response.status == 404
+        assert "corrupt blob" in response.body["error"]
 
     def test_unknown_digest_404(self, client):
         response = client.plan("0" * 32)

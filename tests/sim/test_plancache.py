@@ -6,10 +6,13 @@ never a wrong plan), and the engine's ``cache=`` integration including the
 instrumentation bypass.
 """
 
+import base64
 import json
 
+import numpy as np
 import pytest
 
+from repro.faults import FaultModel
 from repro.networks import Hypercube, Hypermesh2D, Mesh2D, Torus2D
 from repro.routing import Permutation, bit_reversal
 from repro.sim import route_demands, route_permutation
@@ -17,6 +20,7 @@ from repro.sim import plancache
 from repro.sim.plancache import (
     PLAN_SCHEMA_VERSION,
     CachedPlan,
+    PlanBlobError,
     PlanCache,
     demands_digest,
     plan_key,
@@ -141,6 +145,38 @@ class TestMemoryTier:
         assert cache.misses == 4 and cache.hits == 0
 
 
+def _raw(text: str) -> bytes:
+    return base64.b64decode(text)
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _negative_length(payload: dict) -> None:
+    """A -1 length with the total kept, so only the sign check catches it."""
+    lengths = payload["steps"]
+    lengths[0] += lengths[1] + 1
+    lengths[1] = -1
+
+
+def _duplicate_pid(payload: dict) -> None:
+    pids = np.frombuffer(_raw(payload["pids"]), dtype="<i4").copy()
+    pids[1] = pids[0]  # step 0 moves more than one packet
+    payload["pids"] = _b64(pids.tobytes())
+
+
+def _list_of_lists(payload: dict) -> None:
+    """The schema-2 layout: one ``[pids, nodes]`` pair of lists per step."""
+    plan_steps, at = [], 0
+    pids = np.frombuffer(_raw(payload.pop("pids")), dtype="<i4").tolist()
+    nodes = np.frombuffer(_raw(payload.pop("nodes")), dtype="<i4").tolist()
+    for k in payload["steps"]:
+        plan_steps.append([pids[at:at + k], nodes[at:at + k]])
+        at += k
+    payload["steps"] = plan_steps
+
+
 class TestDiskTier:
     def test_round_trip_across_instances(self, tmp_path):
         mesh, perm = Mesh2D(4), bit_reversal(16)
@@ -205,6 +241,88 @@ class TestDiskTier:
         reader = PlanCache(tmp_path)
         route_permutation(mesh, perm, cache=reader)
         assert reader.hits == 0 and reader.misses == 1
+
+    def test_replay_keeps_dict_order(self, tmp_path):
+        # A random permutation under a fault model with drops: steps whose
+        # insertion order is not ascending packet id.
+        mesh = Mesh2D(4)
+        perm = Permutation.random(16, np.random.default_rng(5))
+        demands = list(enumerate(perm.destinations.tolist()))
+        model = FaultModel(seed=3, drop_prob=0.3)
+        cold = route_demands(mesh, demands, fault_model=model,
+                             cache=PlanCache(tmp_path))
+        reader = PlanCache(tmp_path)
+        warm = route_demands(mesh, demands, fault_model=model, cache=reader)
+        assert reader.hits == 1
+        assert [list(s.items()) for s in warm.steps] == [
+            list(s.items()) for s in cold.steps
+        ]
+        assert warm.stats == cold.stats
+        assert any(list(s) != sorted(s) for s in cold.steps)
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda p: p.update(pids="@@ not base64 @@"),
+                     id="bad-base64"),
+        pytest.param(lambda p: p.update(nodes=_b64(_raw(p["nodes"])[:-4])),
+                     id="pids-nodes-length-mismatch"),
+        pytest.param(lambda p: p["steps"].__setitem__(0, p["steps"][0] + 1),
+                     id="lengths-overrun-the-arrays"),
+        pytest.param(lambda p: p["steps"].__setitem__(-1, p["steps"][-1] - 1),
+                     id="lengths-fall-short"),
+        pytest.param(_negative_length, id="negative-length"),
+        pytest.param(lambda p: p.update(pids=_b64(_raw(p["pids"]) + b"\0"),
+                                        nodes=_b64(_raw(p["nodes"]) + b"\0")),
+                     id="partial-item"),
+        pytest.param(_duplicate_pid, id="packet-twice-in-a-step"),
+        pytest.param(_list_of_lists, id="list-blob-labelled-current"),
+        pytest.param(lambda p: p.update(steps=7), id="lengths-not-a-list"),
+    ])
+    def test_malformed_arrays_count_corrupt(self, tmp_path, mutate):
+        mesh, perm = Mesh2D(4), bit_reversal(16)
+        writer = PlanCache(tmp_path)
+        cold = route_permutation(mesh, perm, cache=writer)
+        [blob] = writer.disk_blobs()
+        payload = json.loads(blob.read_text())
+        mutate(payload)
+        blob.write_text(json.dumps(payload))
+        with pytest.raises((PlanBlobError, KeyError, TypeError, ValueError)):
+            CachedPlan.from_payload(payload)
+
+        reader = PlanCache(tmp_path)
+        result = route_permutation(mesh, perm, cache=reader)
+        assert reader.corrupt == 1 and reader.hits == 0 and reader.misses == 1
+        assert reader.persistent_counters()["corrupt"] == 1
+        assert result.schedule.steps == cold.schedule.steps  # routed live
+
+    def test_schema_2_list_blob_is_a_plain_miss(self, tmp_path):
+        mesh, perm = Mesh2D(4), bit_reversal(16)
+        writer = PlanCache(tmp_path)
+        cold = route_permutation(mesh, perm, cache=writer)
+        [blob] = writer.disk_blobs()
+        payload = json.loads(blob.read_text())
+        _list_of_lists(payload)
+        payload["schema"] = payload["key"]["schema"] = 2
+        blob.write_text(json.dumps(payload))
+
+        reader = PlanCache(tmp_path)
+        result = route_permutation(mesh, perm, cache=reader)
+        assert reader.hits == 0 and reader.misses == 1 and reader.corrupt == 0
+        assert result.schedule.steps == cold.schedule.steps
+
+    def test_non_object_blob_is_corrupt(self, tmp_path):
+        mesh, perm = Mesh2D(4), bit_reversal(16)
+        writer = PlanCache(tmp_path)
+        route_permutation(mesh, perm, cache=writer)
+        [blob] = writer.disk_blobs()
+        blob.write_text("[1, 2, 3]")
+        reader = PlanCache(tmp_path)
+        assert route_permutation(mesh, perm, cache=reader).stats.delivered == 16
+        assert reader.corrupt == 1 and reader.misses == 1
+
+    def test_ids_past_int32_raise_a_named_error(self):
+        plan = CachedPlan(steps=({2**31: 1},), stats_fields={})
+        with pytest.raises(PlanBlobError, match="int32"):
+            plan.to_payload()
 
     def test_clear_removes_blobs_and_entries(self, tmp_path):
         cache = PlanCache(tmp_path)

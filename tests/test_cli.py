@@ -349,6 +349,12 @@ class TestPlansCommands:
         assert "1 plans" in out
         assert "mesh" in out  # topology fingerprint surfaces in the key column
 
+    def test_list_labels_a_non_object_blob_corrupt(self, tmp_path, capsys):
+        [blob] = self._record_plan(tmp_path).disk_blobs()
+        blob.write_text("[1, 2, 3]")
+        assert main(["plans", "list", "--root", str(tmp_path)]) == 0
+        assert "(corrupt blob)" in capsys.readouterr().out
+
     def test_clear_removes_plans(self, tmp_path, capsys):
         cache = self._record_plan(tmp_path)
         assert main(["plans", "clear", "--root", str(tmp_path)]) == 0
