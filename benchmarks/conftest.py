@@ -1,12 +1,14 @@
 """Benchmark-harness configuration.
 
-Every file in this directory regenerates one table or figure of the paper
-(see DESIGN.md's experiment index).  Run with::
+The files in this directory are the timing recorders behind the
+committed ``BENCH_*.json`` trajectories (engine cores, faults, plan
+cache, serving, library timings).  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-The ``-s`` shows the regenerated rows next to the timings; every benchmark
-also asserts the reproduced values so the harness doubles as a check.
+The ``-s`` shows the recorded rows next to the timings.  The paper's own
+numbers are golden-checked by ``repro paper --check`` and the tier-1
+tests, not here.
 """
 
 from __future__ import annotations

@@ -6,9 +6,7 @@ Usage (installed as ``repro``, or ``python -m repro``)::
     repro paper --check     # ... and diff tables against checked-in goldens
     repro tables            # Tables 1A, 1B, 2A, 2B at N=4096
     repro section4          # the 4K-PE worked comparison (eqs 2-4, IV-B)
-    repro bisection         # Section V bisection bandwidths
-    repro sweep             # speedup vs machine size (headline asymptotics)
-    repro figures           # ASCII Figs 1-3
+    repro experiment E5     # one experiment's section, golden-checked
     repro fft --side 8      # run a verified parallel FFT on all networks
     repro sort --side 4     # run a verified parallel bitonic sort
     repro campaign run engine-sweep --workers 4   # parallel resumable sweep
@@ -17,9 +15,14 @@ Usage (installed as ``repro``, or ``python -m repro``)::
     repro trace all --n 64 --summary              # JSONL observability traces
     repro profile engine-hypermesh                # cProfile top-N as JSON
 
-Subcommands return a nonzero exit code when what they ran failed (an
-experiment that does not reproduce, a campaign task that fails), so the CLI
-composes with CI and shell scripts.
+The paper verbs (``tables``, ``section4``, ``bisection``, ``sweep``,
+``figures``, ``omega``, ``universality``, ``shapes``) and ``experiment``
+are aliases of ``repro paper --sections ...`` at the full profile that
+print what they regenerate instead of writing it (:data:`PAPER_VERBS`).
+
+Subcommands return a nonzero exit code when what they ran failed (a
+drifting golden cell, a campaign task that fails), so the CLI composes
+with CI and shell scripts.
 """
 
 from __future__ import annotations
@@ -29,158 +32,27 @@ import sys
 
 import numpy as np
 
-from .core.complexity import NetworkKind
-from .hardware.technology import GAAS_1992
-from .models.bisection import bisection_bandwidth_formula, bisection_ratios
-from .models.speedup import bitonic_comparison, section4_comparison, speedup_sweep
-from .models.tables import table_1a, table_1b, table_2a, table_2b
-from .viz.diagrams import (
-    render_butterfly_graph,
-    render_hypermesh_2d,
-    render_pe_node,
-)
-from .viz.series import ascii_chart, format_bandwidth, format_rows, format_table, format_time
+from .viz.series import format_table
 
 __all__ = ["main"]
 
-_NETWORKS = (NetworkKind.MESH_2D, NetworkKind.HYPERCUBE, NetworkKind.HYPERMESH_2D)
-
-
-def _cmd_tables(args: argparse.Namespace) -> None:
-    n = args.num_pes
-    print(f"== Table 1A: hardware complexity before normalization (N={n}) ==")
-    print(
-        format_rows(
-            table_1a(n),
-            ["network", "crossbars", "crossbars_formula", "degree", "diameter", "diameter_formula"],
-        )
-    )
-    print(f"\n== Table 1B: after normalization (N={n}) ==")
-    rows = table_1b(n)
-    for row in rows:
-        row["link_bw"] = format_bandwidth(row["link_bw"])
-    print(format_rows(rows, ["network", "link_bw", "link_bw_formula", "diameter", "d_over_bw"]))
-    print(f"\n== Table 2A: N-FFT step counts (N={n}) ==")
-    print(
-        format_rows(
-            table_2a(n),
-            ["network", "bitrev_steps", "bitrev_formula", "dt_steps", "total_steps", "total_formula"],
-        )
-    )
-    print(f"\n== Table 2B: FFT execution time after normalization (N={n}) ==")
-    rows = table_2b(n)
-    for row in rows:
-        row["step_time"] = format_time(row["step_time"])
-        row["comm_time"] = format_time(row["comm_time"])
-    print(
-        format_rows(
-            rows,
-            ["network", "dt_steps", "steps_formula", "step_time", "comm_time", "time_formula"],
-        )
-    )
-
-
-def _print_comparison(title: str, cmp_) -> None:
-    print(f"== {title} ==")
-    rows = []
-    for kind in _NETWORKS:
-        t = cmp_.times[kind]
-        rows.append(
-            [kind.value, f"{t.steps:g}", format_time(t.step_time), format_time(t.total)]
-        )
-    print(format_table(["network", "steps", "per step", "total comm time"], rows))
-    print(
-        f"hypermesh speedup: {cmp_.speedup_vs_mesh:.1f}x vs mesh, "
-        f"{cmp_.speedup_vs_hypercube:.1f}x vs hypercube"
-    )
-
-
-def _cmd_section4(args: argparse.Namespace) -> None:
-    n = args.num_pes
-    _print_comparison(
-        f"Section IV-A: {n}-point FFT on {n} PEs, negligible propagation delay",
-        section4_comparison(n),
-    )
-    print()
-    _print_comparison(
-        "Section IV-A variant: bit-reversal not needed",
-        section4_comparison(n, include_bitrev=False),
-    )
-    print()
-    _print_comparison(
-        "Section IV-B: 20 ns propagation delay on long-line networks",
-        section4_comparison(n, propagation_delay=20e-9),
-    )
-    print()
-    _print_comparison(
-        "Section IV-A cross-check: bitonic sort ([13] quotes 12.3x / 6.47x)",
-        bitonic_comparison(n),
-    )
-
-
-def _cmd_bisection(args: argparse.Namespace) -> None:
-    n = args.num_pes
-    print(f"== Section V: bisection bandwidth (N={n}, paper convention) ==")
-    rows = []
-    for kind in _NETWORKS:
-        bb = bisection_bandwidth_formula(kind, n, GAAS_1992, paper_convention=True)
-        rows.append([kind.value, f"{bb.channels:g}", format_bandwidth(bb.per_channel),
-                     format_bandwidth(bb.total)])
-    print(format_table(["network", "crossing channels", "per channel", "bisection BW"], rows))
-    r_mesh, r_hc = bisection_ratios(n, GAAS_1992)
-    print(f"hypermesh / mesh   = {r_mesh:g}  (O(sqrt N): 2.5*sqrt(N) = {2.5 * n**0.5:g})")
-    print(f"hypermesh / h-cube = {r_hc:g}  (O(log N): log2(N) = {n.bit_length() - 1})")
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .campaign import CampaignSpec, run_campaign
-
-    sizes = [4**k for k in range(2, args.max_exponent + 1)]
-    # One task per machine size, submitted through the campaign executor:
-    # `--workers` fans the sizes out over worker processes and a crashing
-    # size surfaces as a failed task instead of killing the sweep.
-    spec = CampaignSpec.from_grid(
-        "speedup-sweep", "repro.models.speedup:sweep_task", {"n": sizes}
-    )
-    result = run_campaign(spec, workers=getattr(args, "workers", 1))
-    if not result.ok:
-        for record in result.records:
-            if not record.ok:
-                print(f"sweep task {record.label} failed:", file=sys.stderr)
-                print(record.traceback, file=sys.stderr)
-        return 1
-    rows = [(p["n"], p["vs_mesh"], p["vs_hypercube"]) for p in result.payloads()]
-    print("== Hypermesh FFT speedup vs machine size (paper step convention) ==")
-    print(
-        format_table(
-            ["N", "vs 2D mesh", "vs hypercube"],
-            [[n, f"{m:.2f}", f"{h:.2f}"] for n, m, h in rows],
-        )
-    )
-    print()
-    print(
-        ascii_chart(
-            [float(n) for n, _, _ in rows],
-            {
-                "mesh speedup ~ sqrt(N)/log N": [m for _, m, _ in rows],
-                "cube speedup ~ log N": [h for _, _, h in rows],
-            },
-            log_y=True,
-            title="speedup growth (log y; x = machine sizes 4^k)",
-        )
-    )
-    return 0
-
-
-def _cmd_figures(args: argparse.Namespace) -> None:
-    print("== Fig. 1: 2D hypermesh ==")
-    print(render_hypermesh_2d(args.side))
-    print("\n== Fig. 2: PE-node ==")
-    print(render_pe_node(2))
-    print("\n== Fig. 3: FFT data-flow graph ==")
-    # Largest power of two <= side^2, capped at 16 rows of output.
-    points = 1 << min(4, (args.side * args.side).bit_length() - 1)
-    print(render_butterfly_graph(points))
+#: Each paper verb is ``repro paper --sections <these>`` at the full
+#: profile (whose sizes are the verbs' historical defaults), printing every
+#: regenerated table and figure instead of writing them under
+#: ``results/paper/`` (which holds the smoke profile's renders):
+#: (sections, help).
+PAPER_VERBS: dict[str, tuple[tuple[str, ...], str]] = {
+    "tables": (("table-1a", "table-1b", "table-2a", "table-2b"),
+               "Tables 1A/1B/2A/2B"),
+    "section4": (("section-4",), "the 4K-PE worked comparison"),
+    "bisection": (("section-5",), "Section V bisection bandwidths"),
+    "sweep": (("sweep",), "speedup vs machine size"),
+    "figures": (("figures",), "ASCII Figs 1-3"),
+    "omega": (("omega",), "Omega network vs hypermesh (Section I)"),
+    "universality": (("universality",),
+                     "simulation slowdowns (Section I; [15] vs [13])"),
+    "shapes": (("shapes",), "compare the 8^4 / 16^3 / 64^2 hypermesh shapes"),
+}
 
 
 def _cmd_fft(args: argparse.Namespace) -> None:
@@ -224,122 +96,28 @@ def _cmd_sort(args: argparse.Namespace) -> None:
         )
 
 
-def _cmd_omega(args: argparse.Namespace) -> None:
-    from .networks import OmegaNetwork
-    from .routing import (
-        Permutation,
-        bit_reversal,
-        butterfly_exchange,
-        route_permutation_3step,
-    )
-
-    n = args.num_ports
-    om = OmegaNetwork(n)
-    width = n.bit_length() - 1
-    print(f"== Omega network vs 2D hypermesh, N = {n} ==")
-    admissible = [om.is_admissible(butterfly_exchange(n, b)) for b in range(width)]
-    print(f"FFT butterfly exchanges admissible in one pass: {all(admissible)}")
-    rev = bit_reversal(n)
-    print(
-        f"bit reversal: Omega needs {om.passes_required(rev)} passes, "
-        f"hypermesh {route_permutation_3step(rev).num_steps} steps"
-    )
-    rng = np.random.default_rng(args.seed)
-    passes = [
-        om.passes_required(Permutation.random(n, rng)) for _ in range(5)
-    ]
-    print(f"5 random permutations: Omega passes {passes}, hypermesh <= 3 each")
-
-
-def _cmd_universality(args: argparse.Namespace) -> None:
-    from .models import empirical_random_routing_steps, slowdown_table
-
-    rows = slowdown_table([2**k for k in (6, 8, 10, 12, 16, 20)])
-    print("== Universal-simulation slowdowns (Section I; [15] vs [13]) ==")
-    print(
-        format_table(
-            ["N", "hypercube O(log N)", "hypermesh O(log/loglog)", "advantage"],
-            [
-                [r.num_pes, f"{r.hypercube:.1f}", f"{r.hypermesh:.2f}", f"{r.advantage:.2f}"]
-                for r in rows
-            ],
-        )
-    )
-    measured = empirical_random_routing_steps(args.num_pes, trials=3)
-    print(
-        f"\nmeasured random-permutation routing at N = {args.num_pes}: "
-        f"hypercube {measured['hypercube_mean_steps']:.1f} steps, "
-        f"degree-log hypermesh {measured['hypermesh_mean_steps']:.1f} steps"
-    )
-
-
-def _cmd_shapes(args: argparse.Namespace) -> None:
-    from .core import map_fft
-    from .hardware import link_bandwidth
-    from .networks import Hypermesh, Hypermesh2D
-
-    print("== 4K-PE hypermesh shapes (Section IV: '8^4, 16^3 and 64^2 ...') ==")
-    rows = []
-    for base, dims in ((8, 4), (16, 3), (64, 2)):
-        hm = Hypermesh2D(64) if dims == 2 else Hypermesh(base, dims)
-        mapping = map_fft(hm)
-        bw = link_bandwidth(hm, GAAS_1992)
-        step = GAAS_1992.packet_bits / bw
-        rows.append(
-            [
-                f"{base}^{dims}",
-                mapping.butterfly_steps,
-                mapping.bitrev_steps,
-                mapping.total_steps,
-                format_time(step),
-                format_time(mapping.total_steps * step),
-            ]
-        )
-    print(
-        format_table(
-            ["shape", "butterfly", "bitrev", "total steps", "per step", "comm time"],
-            rows,
-        )
-    )
-    print("the 2D shape the paper picked is fastest (wide links + 3-step bitrev)")
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .experiments import EXPERIMENTS, run_all, run_experiment
+    """Regenerate and golden-check the section(s) of one EXPERIMENTS.md id."""
+    from .paper.sections import PAPER_SECTIONS, SECTIONLESS_EXPERIMENTS
 
-    if args.experiment_id.lower() == "all":
-        # The registry sweep runs as a campaign: isolated worker processes,
-        # so one crashing experiment cannot take the sweep down.
-        result = run_all(workers=getattr(args, "workers", 1))
-        failures = 0
-        for record in result.records:
-            eid = record.params["experiment_id"]
-            title = EXPERIMENTS[eid][0]
-            reproduced = (
-                record.ok
-                and isinstance(record.payload, dict)
-                and record.payload.get("reproduced") is True
-            )
-            status = "REPRODUCED" if reproduced else "FAILED"
-            print(f"{eid:4s} {status:10s} {title}")
-            if not reproduced:
-                failures += 1
-                if record.traceback:
-                    print(record.traceback, file=sys.stderr)
-        if failures:
-            print(f"{failures} experiments failed to reproduce", file=sys.stderr)
-            return 1
-        return 0
-    try:
-        result = run_experiment(args.experiment_id)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    print(f"{result.experiment_id}: {result.title}")
-    print(f"reproduced: {result.reproduced}")
-    for key, value in result.details.items():
-        print(f"  {key}: {value}")
-    return 0 if result.reproduced else 1
+    eid = args.experiment_id.upper()
+    if eid != "ALL":
+        args.sections = [
+            spec.section for spec in PAPER_SECTIONS.values()
+            if eid in spec.experiments
+        ]
+        if not args.sections:
+            if eid in SECTIONLESS_EXPERIMENTS:
+                print(
+                    f"error: {eid} has no paper section; its checks are "
+                    "tier-1 tests, mapped in docs/REPRODUCING.md",
+                    file=sys.stderr,
+                )
+            else:
+                print(f"error: unknown experiment {args.experiment_id!r}",
+                      file=sys.stderr)
+            return 2
+    return _cmd_paper(args)
 
 
 def _load_campaign_spec(ref: str):
@@ -981,6 +759,7 @@ def _cmd_paper(args: argparse.Namespace) -> int:
             store_root=args.store,
             workers=args.workers,
             force=args.force,
+            write=not args.print_artifacts,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -988,6 +767,12 @@ def _cmd_paper(args: argparse.Namespace) -> int:
 
     for path in result.written:
         print(f"wrote {path}")
+    if args.print_artifacts:
+        for artifacts in result.artifacts.values():
+            for table in artifacts.tables:
+                print(table.to_markdown())
+            for figure in artifacts.figures:
+                print(figure.render())
     if result.campaign is not None:
         s = result.campaign.summary
         print(
@@ -1036,28 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tables", help="Tables 1A/1B/2A/2B")
-    p.add_argument("--num-pes", type=int, default=4096)
-    p.set_defaults(func=_cmd_tables)
-
-    p = sub.add_parser("section4", help="the 4K-PE worked comparison")
-    p.add_argument("--num-pes", type=int, default=4096)
-    p.set_defaults(func=_cmd_section4)
-
-    p = sub.add_parser("bisection", help="Section V bisection bandwidths")
-    p.add_argument("--num-pes", type=int, default=4096)
-    p.set_defaults(func=_cmd_bisection)
-
-    p = sub.add_parser("sweep", help="speedup vs machine size")
-    p.add_argument("--max-exponent", type=int, default=10, help="largest 4^k size")
-    p.add_argument("--workers", type=int, default=1,
-                   help="campaign worker processes for the size grid")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("figures", help="ASCII Figs 1-3")
-    p.add_argument("--side", type=int, default=4)
-    p.set_defaults(func=_cmd_figures)
-
     p = sub.add_parser("fft", help="run a verified parallel FFT")
     p.add_argument("--side", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
@@ -1067,17 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sort)
-
-    p = sub.add_parser("omega", help="Omega network vs hypermesh (Section I)")
-    p.add_argument("--num-ports", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_omega)
-
-    p = sub.add_parser(
-        "universality", help="simulation slowdowns (Section I; [15] vs [13])"
-    )
-    p.add_argument("--num-pes", type=int, default=256)
-    p.set_defaults(func=_cmd_universality)
 
     p = sub.add_parser(
         "paper",
@@ -1113,15 +865,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign worker processes")
     p.add_argument("--force", action="store_true",
                    help="ignore cached campaign results and re-execute")
-    p.set_defaults(func=_cmd_paper)
+    p.set_defaults(func=_cmd_paper, print_artifacts=False)
+    # The aliases below are this command with some defaults changed: their
+    # sections, and printing the artifacts instead of writing them.
+    paper_defaults = vars(p.parse_args([]))
+
+    for verb, (sections, help_) in PAPER_VERBS.items():
+        p = sub.add_parser(
+            verb, help=f"{help_} (= paper --sections {' '.join(sections)})"
+        )
+        p.set_defaults(**{**paper_defaults, "sections": list(sections),
+                          "print_artifacts": True})
 
     p = sub.add_parser(
-        "experiment", help="run one registered experiment by ID (or 'all')"
+        "experiment",
+        help="regenerate and golden-check one experiment's paper section(s)",
+        description=(
+            "Resolve an EXPERIMENTS.md id to the paper sections that claim "
+            "it (SectionSpec.experiments), regenerate them at the full "
+            "profile, print them, and golden-check them: exit 0 when every "
+            "cell matches, 1 on drift or a failed task, 2 for an unknown id "
+            "or an id with no section ('all' selects every section)."
+        ),
     )
     p.add_argument("experiment_id", help="e.g. E5, or 'all'")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for 'all' (isolated per experiment)")
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(**{**paper_defaults, "func": _cmd_experiment,
+                      "check": True, "print_artifacts": True})
 
     p = sub.add_parser(
         "campaign",
@@ -1162,11 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = campaign_sub.add_parser("list", help="list built-in campaigns")
     pc.set_defaults(func=_cmd_campaign_list)
-
-    p = sub.add_parser(
-        "shapes", help="compare the 8^4 / 16^3 / 64^2 hypermesh shapes"
-    )
-    p.set_defaults(func=_cmd_shapes)
 
     p = sub.add_parser(
         "trace",

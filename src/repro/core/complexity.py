@@ -16,7 +16,7 @@ hypercube         ``log N``           ``>= log N``          ``>= 2 log N``
 
 Computation steps are ``log N`` on every network and drop out of the
 comparison.  All three rows are validated against executable schedules by
-``benchmarks/bench_sim_vs_model.py`` and the integration tests.
+``tests/integration/test_sim_vs_model.py``.
 """
 
 from __future__ import annotations

@@ -36,11 +36,18 @@ Semantics, rerouting rules and the accounting contract are documented in
 ``docs/FAULTS.md``.
 """
 
-from .model import FaultModel, ResolvedFaults, UnroutableError, resolve_faults
+from .model import (
+    FaultModel,
+    FaultSpecError,
+    ResolvedFaults,
+    UnroutableError,
+    resolve_faults,
+)
 from .routing import FaultAwareRouter, fault_aware_router
 
 __all__ = [
     "FaultModel",
+    "FaultSpecError",
     "ResolvedFaults",
     "UnroutableError",
     "resolve_faults",

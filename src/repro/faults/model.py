@@ -38,7 +38,13 @@ from ..networks.degraded import SurvivingGraph
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..networks.base import Topology
 
-__all__ = ["FaultModel", "ResolvedFaults", "UnroutableError", "resolve_faults"]
+__all__ = [
+    "FaultModel",
+    "FaultSpecError",
+    "ResolvedFaults",
+    "UnroutableError",
+    "resolve_faults",
+]
 
 #: Name of the per-transmission drop draw, folded into
 #: :meth:`FaultModel.fingerprint`: a different draw drops different moves,
@@ -78,6 +84,16 @@ class UnroutableError(RuntimeError):
     or when an endpoint is itself a failed node.  This is deliberately not
     a :class:`~repro.sim.schedule.ScheduleError`: the schedule is not
     malformed — the machine is broken.
+    """
+
+
+class FaultSpecError(ValueError):
+    """A fault model does not fit the topology it is resolved against.
+
+    Raised by :func:`resolve_faults` when the model names a node, link or
+    net the topology does not have, or puts one net in two fault states.
+    The model parses on its own; it just does not fit this machine, so a
+    client that sent it gets a field error, not a crash.
     """
 
 
@@ -400,8 +416,8 @@ _RESOLVE_MEMO: dict = {}
 def resolve_faults(model: FaultModel, topology: "Topology") -> ResolvedFaults:
     """Pin ``model`` to ``topology``: validate, sample, and build down sets.
 
-    Raises ``ValueError`` when an explicit fault names a node, link, or net
-    the topology does not have — a misconfigured fault plan should fail
+    Raises :class:`FaultSpecError` (a ``ValueError``) when an explicit
+    fault names a node, link, or net the topology does not have — a misconfigured fault plan should fail
     loudly, not silently injure a different machine.
 
     Memoized per ``(model, topology)`` pair: the same model resolved
@@ -428,11 +444,11 @@ def _resolve_faults(model: FaultModel, topology: "Topology") -> ResolvedFaults:
     n = topology.num_nodes
     for node in model.node_failures:
         if not 0 <= node < n:
-            raise ValueError(f"fault names node {node} outside [0, {n})")
+            raise FaultSpecError(f"fault names node {node} outside [0, {n})")
 
     hypergraph = topology.channel_model is ChannelModel.HYPERGRAPH_NET
     if (model.net_failures or model.degraded_nets) and not hypergraph:
-        raise ValueError(
+        raise FaultSpecError(
             f"net faults need a hypergraph topology, got "
             f"{type(topology).__name__}"
         )
@@ -443,12 +459,12 @@ def _resolve_faults(model: FaultModel, topology: "Topology") -> ResolvedFaults:
         num_nets = topology.num_nets()
         for net in sorted(down_nets | degraded):
             if not 0 <= net < num_nets:
-                raise ValueError(
+                raise FaultSpecError(
                     f"fault names net {net} outside [0, {num_nets})"
                 )
         overlap = down_nets & degraded
         if overlap:
-            raise ValueError(
+            raise FaultSpecError(
                 f"nets {sorted(overlap)} are both down and degraded; "
                 f"pick one fault per net"
             )
@@ -457,7 +473,7 @@ def _resolve_faults(model: FaultModel, topology: "Topology") -> ResolvedFaults:
     if down_links or model.link_fail_fraction > 0.0:
         if hypergraph:
             if down_links:
-                raise ValueError(
+                raise FaultSpecError(
                     "hypergraph networks have nets, not links; use "
                     "net_failures / degraded_nets"
                 )
@@ -470,14 +486,17 @@ def _resolve_faults(model: FaultModel, topology: "Topology") -> ResolvedFaults:
                     at = int(np.searchsorted(codes, code)) if (
                         0 <= u and v < n) else len(codes)
                     if at == len(codes) or codes[at] != code:
-                        raise ValueError(
+                        raise FaultSpecError(
                             f"fault names link {(u, v)} the topology does "
                             f"not have"
                         )
             if model.link_fail_fraction > 0.0:
                 k = int(model.link_fail_fraction * len(all_links))
                 if k:
-                    rng = np.random.default_rng(model.seed)
+                    # default_rng takes no negative seed: reduce it mod
+                    # 2**64 as the drop draw does (others are unchanged).
+                    seed = model.seed if model.seed >= 0 else model.seed & _MASK64
+                    rng = np.random.default_rng(seed)
                     picks = rng.choice(len(all_links), size=k, replace=False)
                     down_links.update(map(tuple, all_links[picks].tolist()))
 

@@ -18,7 +18,7 @@ The FFT's butterfly exchanges and the identity are admissible; most
 permutations — bit reversal for ``N > 4``, and even the perfect shuffle
 itself — are not and must be serialized over several passes.  That is
 exactly the weakness the hypermesh's 3-step rearrangeability removes (see
-``tests/networks/test_omega.py`` and ``benchmarks/bench_omega.py``).
+``tests/networks/test_omega.py`` and the ``omega`` paper section).
 """
 
 from __future__ import annotations

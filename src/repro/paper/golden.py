@@ -95,6 +95,7 @@ class GoldenReport:
 
 
 def golden_root(root: Path | str, profile: str) -> Path:
+    """The golden directory of ``profile`` under the results ``root``."""
     return Path(root) / GOLDEN_DIRNAME / profile
 
 

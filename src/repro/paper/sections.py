@@ -43,6 +43,7 @@ __all__ = [
     "SectionArtifacts",
     "SectionSpec",
     "PAPER_SECTIONS",
+    "SECTIONLESS_EXPERIMENTS",
     "resolve_sections",
     "paper_campaign",
     "run_section_task",
@@ -917,6 +918,12 @@ PAPER_SECTIONS: dict[str, SectionSpec] = _registry(
         local=True,
     ),
 )
+
+
+#: EXPERIMENTS.md entries no section claims: extensions whose checks are
+#: tier-1 tests, each mapped to its test module in docs/REPRODUCING.md
+#: (``tools/check_docs.py`` keeps both lists complete and disjoint).
+SECTIONLESS_EXPERIMENTS = ("E12", "E13", "E15", "E17", "E18", "E21")
 
 
 def resolve_sections(names: Sequence[str] | None) -> list[SectionSpec]:

@@ -433,6 +433,14 @@ class RoutingService:
             if exc.kind == "UnroutableError":
                 self.unroutable += 1
                 return 409, {"error": "unroutable", "detail": exc.message}, source
+            if exc.kind == "FaultSpecError":
+                # Only the worker finds the fault does not fit the machine:
+                # move the request from admitted routes to rejected bodies.
+                self.routes -= 1
+                self.rejected += 1
+                return 400, {
+                    "error": "invalid request", "fields": {"fault": exc.message},
+                }, source
             self.failed += 1
             return 500, {
                 "error": "routing failed",

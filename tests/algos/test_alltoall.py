@@ -48,6 +48,13 @@ class TestPlan:
         assert hm < mesh
 
 
+    def test_mesh_total_exchange_grows_faster(self):
+        """16 -> 64 PEs: the mesh's plan grows ~N^{3/2}, the hypermesh's ~N."""
+        mesh = [total_exchange_plan(Mesh2D(s)).total_steps for s in (4, 8)]
+        hm = [total_exchange_plan(Hypermesh2D(s)).total_steps for s in (4, 8)]
+        assert mesh[1] / mesh[0] > hm[1] / hm[0]
+
+
 class TestLowerBound:
     def test_mesh_scaling(self):
         # demand N^2/2, capacity 2 sqrt(N): Omega(N^{3/2}) steps.

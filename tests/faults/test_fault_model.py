@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.faults import FaultModel, resolve_faults
+from repro.faults import FaultModel, FaultSpecError, resolve_faults
 from repro.networks import Hypermesh2D, Mesh2D
 
 
@@ -208,15 +208,15 @@ class TestDropDraw:
 
 class TestResolveFaults:
     def test_node_outside_topology_rejected(self):
-        with pytest.raises(ValueError, match=r"node 99 outside \[0, 16\)"):
+        with pytest.raises(FaultSpecError, match=r"node 99 outside \[0, 16\)"):
             resolve_faults(FaultModel(node_failures={99}), Mesh2D(4))
 
     def test_unknown_link_rejected(self):
-        with pytest.raises(ValueError, match="topology does not have"):
+        with pytest.raises(FaultSpecError, match="topology does not have"):
             resolve_faults(FaultModel(link_failures={(0, 15)}), Mesh2D(4))
 
     def test_net_faults_need_a_hypergraph(self):
-        with pytest.raises(ValueError, match="net faults need a hypergraph"):
+        with pytest.raises(FaultSpecError, match="net faults need a hypergraph"):
             resolve_faults(FaultModel(net_failures={0}), Mesh2D(4))
 
     def test_link_faults_rejected_on_hypergraph(self):
@@ -244,6 +244,22 @@ class TestResolveFaults:
         assert (0, 1) in resolved.down_links
         # 24 undirected links; 25% sampled = 6 (the explicit one may overlap).
         assert 6 <= len(resolved.down_links) <= 7
+
+    def test_negative_seed_sampling_is_deterministic(self):
+        """default_rng takes no negative seed: it is reduced mod 2**64,
+        so -1 samples the links seed 2**64 - 1 does, every time."""
+        topo = Mesh2D(4)
+        resolved = resolve_faults(
+            FaultModel(seed=-1, link_fail_fraction=0.25), topo
+        )
+        again = resolve_faults(
+            FaultModel(seed=-1, link_fail_fraction=0.25), Mesh2D(4)
+        )
+        wrapped = resolve_faults(
+            FaultModel(seed=2**64 - 1, link_fail_fraction=0.25), Mesh2D(4)
+        )
+        assert len(resolved.down_links) == 6
+        assert resolved.down_links == again.down_links == wrapped.down_links
 
     def test_structural_flag(self):
         topo = Mesh2D(4)

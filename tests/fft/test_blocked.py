@@ -92,6 +92,45 @@ class TestStepAccounting:
         assert totals["Hypermesh2D"] < totals["Hypercube"] < totals["Mesh2D"]
 
 
+    def test_4096_samples_on_256_pes(self, rng):
+        """Block size 16: the numerics hold and the paper's ordering
+        (hypermesh < hypercube < mesh, in steps) survives blocking."""
+        x = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        expected = np.fft.fft(x)
+        totals = {}
+        for topo in (Mesh2D(16), Hypercube(8), Hypermesh2D(16)):
+            result = blocked_fft(topo, x)
+            assert np.allclose(result.spectrum, expected)
+            totals[type(topo).__name__] = result.total_steps
+        assert totals["Hypermesh2D"] < totals["Hypercube"] < totals["Mesh2D"]
+
+    @pytest.mark.parametrize("m", [1, 4, 16, 64])
+    def test_hypermesh_64_pes_bitrev_within_3m(self, m, rng):
+        x = rng.normal(size=64 * m)
+        result = blocked_fft(Hypermesh2D(8), x)
+        assert np.allclose(result.spectrum, np.fft.fft(x))
+        assert result.bitrev_steps <= 3 * m
+
+    def test_direct_h_relation_undercuts_round_plan(self):
+        """Routing the blocked bit-reversal m-relation (m = 16 on 64 PEs)
+        in one engine run pipelines across rounds: it takes no more steps
+        than the round-by-round Clos plan."""
+        from repro.networks.addressing import bit_reversal_permutation
+        from repro.sim import route_demands
+
+        side, m = 8, 16
+        n = side * side * m
+        idx = np.arange(n)
+        demands = [
+            (int(s), int(d))
+            for s, d in zip(idx // m, bit_reversal_permutation(n) // m)
+            if s != d
+        ]
+        hm = Hypermesh2D(side)
+        direct = route_demands(hm, demands).stats.steps
+        assert direct <= blocked_fft(hm, np.zeros(n)).bitrev_steps
+
+
 class TestModel:
     def test_model_validates_blocking(self):
         with pytest.raises(ValueError):

@@ -57,6 +57,33 @@ class TestStructure:
             butterfly_flow_graph(12)
 
 
+    def test_64_point_graph(self):
+        """The flow graph the 4K-point step counts rest on, at N = 64:
+        log N ranks of N straight + N cross edges, then the bit reversal."""
+        g = butterfly_flow_graph(64)
+        assert g.num_stages == 6
+        for s in range(6):
+            edges = g.stage_edges(s)
+            assert len(edges) == 2 * 64
+            assert g.cross_bit(s) == 5 - s
+            crosses = [e for e in edges if e.kind == "cross"]
+            assert all(e.target == e.source ^ (1 << (5 - s)) for e in crosses)
+        assert all(e.kind == "bitrev" for e in g.stage_edges(6))
+
+    def test_graph_drives_the_mapping(self):
+        """The mapped FFT exchanges exactly the graph's cross bits, in
+        order: Fig. 3 is the specification the schedules implement."""
+        from repro.core import map_fft
+        from repro.networks import Hypercube
+
+        g = butterfly_flow_graph(64)
+        mapping = map_fft(Hypercube(6))
+        stage_bits = [
+            int(s.logical[0]).bit_length() - 1 for s in mapping.stage_schedules
+        ]
+        assert stage_bits == [g.cross_bit(s) for s in range(g.num_stages)]
+
+
 class TestNetworkxExport:
     def test_dag_properties(self):
         nx = pytest.importorskip("networkx")

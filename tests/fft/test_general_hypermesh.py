@@ -20,7 +20,9 @@ class TestButterflyOnAnyShape:
         result = parallel_fft(hm, x, validate=True)
         assert np.allclose(result.spectrum, np.fft.fft(x))
 
-    @pytest.mark.parametrize("base,dims", [(2, 4), (4, 2), (4, 3)])
+    @pytest.mark.parametrize(
+        "base,dims", [(2, 4), (4, 2), (4, 3), (8, 2), (2, 6)]
+    )
     def test_butterfly_is_log_n_steps(self, base, dims):
         hm = Hypermesh(base, dims)
         mapping = map_fft(hm, include_bit_reversal=False)
@@ -52,6 +54,22 @@ class TestShapeTradeoff:
                 result.data_transfer_steps * GAAS_1992.packet_bits / bw
             )
         assert times[2] < times[3]
+
+    def test_4k_shapes_executed(self):
+        """The Section IV remark at its own size: a 4K-point FFT runs on
+        8^4, 16^3 and 64^2, and the paper's 64^2 pick is fastest, at
+        exactly equation (4)'s 300 ns."""
+        rng = np.random.default_rng(2026)
+        x = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        expected = np.fft.fft(x)
+        times = {}
+        for hm in (Hypermesh(8, 4), Hypermesh(16, 3), Hypermesh2D(64)):
+            result = parallel_fft(hm, x)
+            assert np.allclose(result.spectrum, expected)
+            step = GAAS_1992.packet_bits / link_bandwidth(hm, GAAS_1992)
+            times[hm.dims] = result.data_transfer_steps * step
+        assert times[2] < times[3] < times[4]
+        assert times[2] == pytest.approx(300e-9, abs=1e-12)
 
     def test_too_many_nets_for_the_ic_budget_rejected(self):
         """base-2 shapes need more nets than the one-IC-per-PE budget can

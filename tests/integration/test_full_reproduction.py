@@ -76,6 +76,9 @@ class TestExecutedStepCounts(object):
         mapping = map_fft(Mesh2D(64))
         assert mapping.total_steps == 252
         assert mapping.total_steps > 160
+        # Butterfly 2(sqrt N - 1); no-wrap bit reversal at least as long.
+        assert mapping.butterfly_steps == 126
+        assert mapping.bitrev_steps >= 126
 
 
 class TestConclusionsSection:

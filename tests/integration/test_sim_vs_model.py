@@ -5,9 +5,11 @@ count.  These tests assert the two agree (or bound each other in the
 direction the paper claims) across machine sizes.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import NetworkKind, fft_step_counts, map_fft
+from repro.fft import parallel_fft
 from repro.models import StepConvention, fft_steps
 from repro.networks import Hypercube, Hypermesh2D, Mesh2D, Torus2D
 
@@ -83,3 +85,29 @@ class TestOrdering:
         hc = map_fft(Hypercube(12))
         assert hm.total_steps == 15
         assert hc.total_steps == 24
+
+
+class TestExecutedNumerics:
+    """The numerical FFT (data moved, twiddles applied, checked against
+    numpy) takes exactly the step counts the model predicts."""
+
+    @staticmethod
+    def _steps(topo, rng):
+        x = rng.normal(size=topo.num_nodes) + 1j * rng.normal(size=topo.num_nodes)
+        result = parallel_fft(topo, x)
+        assert np.allclose(result.spectrum, np.fft.fft(x))
+        return result.data_transfer_steps
+
+    def test_hypercube_equals_constructive_model(self, rng):
+        for d in (2, 4, 6, 8, 10):
+            assert self._steps(Hypercube(d), rng) == fft_steps(
+                NetworkKind.HYPERCUBE, 1 << d,
+                convention=StepConvention.CONSTRUCTIVE,
+            )
+
+    def test_hypermesh_within_bound_and_tight_at_1024(self, rng):
+        measured = {s * s: self._steps(Hypermesh2D(s), rng)
+                    for s in (2, 4, 8, 16, 32)}
+        for n, steps in measured.items():
+            assert steps <= fft_steps(NetworkKind.HYPERMESH_2D, n)
+        assert measured[1024] == 13

@@ -58,7 +58,7 @@ class TestRatios:
         assert r_mesh == pytest.approx(2.5 * 64)  # 2.5 sqrt(N)
         assert r_hc == pytest.approx(12)  # log N
 
-    @pytest.mark.parametrize("n", [16, 256, 4096, 65536])
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024, 4096, 16384, 65536])
     def test_asymptotic_shapes(self, n):
         import math
 

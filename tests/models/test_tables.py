@@ -80,3 +80,18 @@ class TestTable2B:
     def test_asymptotic_strings(self):
         rows = {r["network"]: r for r in table_2b(4096)}
         assert rows["2D hypermesh"]["time_formula"] == "O(log N/KL)"
+
+    def test_comm_time_growth_shapes(self):
+        """T_comm grows as O(sqrt N), O(log^2 N) and O(log N) over KL:
+        normalized by its form, each series stays in a 2x band."""
+        import math
+
+        data = [
+            (4**k, {r["network"]: r["comm_time"] for r in table_2b(4**k)})
+            for k in range(2, 7)
+        ]
+        mesh = [r["2D mesh"] / math.sqrt(n) for n, r in data]
+        hypermesh = [r["2D hypermesh"] / math.log2(n) for n, r in data]
+        cube = [r["hypercube"] / math.log2(n) ** 2 for n, r in data]
+        for series in (mesh, hypermesh, cube):
+            assert max(series) / min(series) < 2.0

@@ -9,7 +9,7 @@ class TestWaferRegime:
     def test_mesh_wins_under_dally_assumptions(self):
         """Equal bisection wiring + wire-length propagation: the mesh beats
         the hypermesh — the excluded scenario, confirmed."""
-        for k in range(2, 8):
+        for k in range(2, 9):
             t = wafer_fft_comparison(4**k)
             assert t.hypermesh_speedup < 1.0
 

@@ -32,6 +32,7 @@ class TestDenseExchange:
         cmp_ = dense_exchange_time(distance, MESH_BW, GAAS_1992)
         assert cmp_.wormhole >= cmp_.store_and_forward
         assert cmp_.wormhole_speedup <= 1.0
+        assert cmp_.store_and_forward == pytest.approx(distance * 50e-9)
 
     def test_serialization_floor(self):
         cmp_ = dense_exchange_time(16, MESH_BW, GAAS_1992)

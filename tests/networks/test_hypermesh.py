@@ -63,6 +63,23 @@ class TestNets:
             )
             assert covered == list(hm.nodes())
 
+    def test_one_hop_reaches_row_and_column(self):
+        """Fig. 1's point on a 16 x 16 machine: each node sits in exactly
+        its row net and its column net, which together hold its row and
+        its column."""
+        side = 16
+        hm = Hypermesh2D(side)
+        assert hm.num_nets() == 2 * side
+        nets = hm.nets()
+        for node in hm.nodes():
+            row, col = hm.row_col(node)
+            owned = hm.nets_of(node)
+            assert len(owned) == 2
+            members = set(nets[owned[0]]) | set(nets[owned[1]])
+            assert members == {row * side + c for c in range(side)} | {
+                r * side + col for r in range(side)
+            }
+
     def test_two_nets_of_one_node_intersect_only_there(self):
         hm = Hypermesh(4, 3)
         node = 21
@@ -74,7 +91,10 @@ class TestNets:
 
     def test_row_and_col_nets_2d(self):
         hm = Hypermesh2D(4)
+        assert hm.num_nets() == 8
         nets = hm.nets()
+        assert sorted(nets[hm.row_net(0)]) == [0, 1, 2, 3]
+        assert sorted(nets[hm.col_net(0)]) == [0, 4, 8, 12]
         row1 = nets[hm.row_net(1)]
         assert sorted(row1) == [4, 5, 6, 7]
         col2 = nets[hm.col_net(2)]
@@ -164,8 +184,11 @@ class TestHardware:
         assert Hypermesh2D(64).crossbar_ports == 64
 
     def test_node_degree_dims_plus_pe(self):
+        # Fig. 2: one port per dimension plus the PE, no n x n crossbar.
         assert Hypermesh2D(8).node_degree == 3
+        assert Hypermesh2D(64).node_degree == 3
         assert Hypermesh(4, 4).node_degree == 5
+        assert Hypermesh2D(8).num_crossbars == Hypermesh2D(8).num_nets()
 
 
 class TestDegreeLogShape:

@@ -118,7 +118,7 @@ class TestHypermeshContrast:
     """Section I's claim, head to head: permutations that block the Omega
     network cost the 2D hypermesh at most 3 steps."""
 
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [16, 64, 256])
     def test_bit_reversal(self, n):
         from repro.routing import route_permutation_3step
 
@@ -136,3 +136,16 @@ class TestHypermeshContrast:
             worst_om = max(worst_om, OmegaNetwork(16).passes_required(perm))
             assert route_permutation_3step(perm).num_steps <= 3
         assert worst_om >= 2  # random perms essentially never pass in one
+
+    def test_random_64(self):
+        from repro.routing import route_permutation_3step
+
+        rng = np.random.default_rng(0)
+        om = OmegaNetwork(64)
+        om_passes, hm_steps = [], []
+        for _ in range(10):
+            perm = Permutation.random(64, rng)
+            om_passes.append(om.passes_required(perm))
+            hm_steps.append(route_permutation_3step(perm).num_steps)
+        assert max(hm_steps) <= 3
+        assert np.mean(om_passes) > 2

@@ -44,6 +44,34 @@ class TestDocsChecks:
         assert load_check_docs().main([]) == 0
         assert "docs ok" in capsys.readouterr().out
 
+    def test_deleted_bench_path_in_a_doc_fails(self, tmp_path, monkeypatch):
+        check_docs = load_check_docs()
+        doc = tmp_path / "NOTES.md"
+        doc.write_text("regenerate with `benchmarks/bench_table1a.py`\n")
+        monkeypatch.setattr(check_docs, "REPO", tmp_path)
+        monkeypatch.setattr(check_docs, "_checked_docs", lambda: [doc])
+        [error] = check_docs.check_bench_paths()
+        assert "benchmarks/bench_table1a.py" in error
+
+    def test_sectionless_experiment_needs_an_existing_test(
+        self, tmp_path, monkeypatch
+    ):
+        check_docs = load_check_docs()
+        guide = tmp_path / "REPRODUCING.md"
+        text = check_docs.REPRODUCING.read_text()
+        guide.write_text(text.replace(
+            "`pytest tests/fft/test_blocked.py`", "`pytest tests/fft/gone.py`"
+        ).replace(
+            "`pytest tests/models/test_wafer.py`", "by hand"
+        ))
+        monkeypatch.setattr(check_docs, "REPRODUCING", guide)
+        errors = check_docs.check_experiments()
+        assert errors == [
+            "docs/REPRODUCING.md maps E15 to tests/fft/gone.py, which does "
+            "not exist",
+            "docs/REPRODUCING.md maps E21 to no tier-1 test path",
+        ]
+
 
 @pytest.mark.parametrize(
     "module_name",

@@ -140,3 +140,24 @@ class TestWriteGoldens:
         before = first.read_bytes()
         [second] = write_goldens(arts, tmp_path, "smoke")
         assert second.read_bytes() == before
+
+
+class TestCommittedGoldens:
+    def test_full_profile_matches_goldens(self, tmp_path, monkeypatch):
+        """Every N = 4096 table of the paper, regenerated and diffed cell by
+        cell against the committed full-profile goldens."""
+        from pathlib import Path
+
+        from repro.paper import run_paper
+
+        golden = Path(__file__).resolve().parents[2] / "results" / "paper" \
+            / "golden" / "full"
+        monkeypatch.chdir(tmp_path)  # the routed tasks' plan cache
+        result = run_paper(profile="full", root=tmp_path / "paper",
+                           store_root=tmp_path / "campaigns")
+        assert result.ok, result.failed_sections
+        report = check_goldens(result.artifacts, tmp_path / "paper", "full",
+                               golden_dir=golden)
+        assert report.ok, report.format()
+        assert report.checked == 15
+        assert report.missing == []

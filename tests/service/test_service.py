@@ -122,6 +122,24 @@ class TestValidation:
         client.route({"topology": "nope"})
         assert client.stats().body["service"]["rejected"] == 1
 
+    @pytest.mark.parametrize("fault, status", [
+        ({"seed": -1, "link_fail_fraction": 0.1}, 200),
+        ({"link_failures": [[0, 15]]}, 400),
+        ({"node_failures": [99]}, 400),
+        ({"net_failures": [3]}, 400),
+    ], ids=["negative-seed", "missing-link", "node-range", "net-on-mesh"])
+    def test_fault_that_does_not_fit_is_a_400(self, client, fault, status):
+        """Only the worker resolves a fault against the machine; a fault
+        that does not fit it is the client's error, never a 500."""
+        response = client.route({**CHEAP_JOB, "fault": fault})
+        assert response.status == status, response.body
+        service = client.stats().body["service"]
+        if status == 400:
+            assert response.body["error"] == "invalid request"
+            assert set(response.body["fields"]) == {"fault"}
+            assert service["rejected"] == 1 and service["routes"] == 0
+        assert service["failed"] == 0
+
 
 class TestPlans:
     def test_fetch_recorded_plan(self, client):

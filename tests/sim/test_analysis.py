@@ -96,3 +96,19 @@ class TestSummary:
             totals[type(topo).__name__] = total
         # Identical butterfly crossing demand on both networks.
         assert totals["Hypercube"] == totals["Hypermesh2D"]
+
+    def test_64_point_fft_crossing_fractions(self):
+        """'every Butterfly permutation causes transfers over a network
+        bisector' for the top bit; the last stage never crosses."""
+        for topo in (Hypercube(6), Hypermesh2D(8)):
+            stages = map_fft(topo).stage_schedules
+            fractions = [traffic_summary(s).crossing_fraction for s in stages]
+            assert fractions[0] == 1.0
+            assert fractions[-1] == 0.0
+
+    def test_64_point_bit_reversal_crosses_with_many_packets(self):
+        from repro.core import bit_reversal_schedule
+
+        for topo in (Hypercube(6), Hypermesh2D(8), Mesh2D(8)):
+            sched = bit_reversal_schedule(topo)
+            assert sum(bisection_crossings(sched)) >= 24

@@ -64,6 +64,31 @@ class TestDeflectionBehaviour:
         assert all(m >= 1 for m in result.per_step_moves)
 
 
+class TestAgainstStoreAndForward:
+    """Reference [3]'s comparison on the FFT's closing bit reversal."""
+
+    @pytest.mark.parametrize(
+        "topo", [Torus2D(8), Hypercube(6)], ids=lambda t: type(t).__name__
+    )
+    def test_bit_reversal_never_fewer_hops(self, topo):
+        from repro.sim import route_permutation
+
+        buffered = route_permutation(topo, bit_reversal(64))
+        deflected = route_deflection(topo, bit_reversal(64))
+        buffered.schedule.validate()
+        deflected.schedule.validate()
+        assert deflected.total_hops >= buffered.stats.total_hops
+        assert deflected.steps >= 1 and buffered.stats.steps >= 1
+
+    def test_random_permutations_stay_efficient(self):
+        rng = np.random.default_rng(0)
+        efficiencies = [
+            route_deflection(Torus2D(8), Permutation.random(64, rng)).efficiency
+            for _ in range(5)
+        ]
+        assert min(efficiencies) > 0.5
+
+
 class TestGuards:
     def test_hypergraph_rejected(self):
         with pytest.raises(TypeError):

@@ -88,6 +88,18 @@ class TestStepAccounting:
         result = parallel_bitonic_sort(Mesh2D(4), np.zeros(16))
         assert result.data_transfer_steps == bitonic_steps(NetworkKind.MESH_2D, 16)
 
+    def test_executed_256_keys(self, rng):
+        """N = 256 end to end: sorted on all three networks, hypermesh and
+        hypercube both log N (log N + 1) / 2 = 36 steps, the mesh its model."""
+        keys = rng.normal(size=256)
+        steps = {}
+        for topo in (Mesh2D(16), Hypercube(8), Hypermesh2D(16)):
+            result = parallel_bitonic_sort(topo, keys)
+            assert np.array_equal(result.keys, np.sort(keys))
+            steps[type(topo).__name__] = result.data_transfer_steps
+        assert steps["Hypermesh2D"] == steps["Hypercube"] == 36
+        assert steps["Mesh2D"] == bitonic_steps(NetworkKind.MESH_2D, 256)
+
     def test_model_4096(self):
         assert bitonic_steps(NetworkKind.HYPERCUBE, 4096) == 78
         assert bitonic_steps(NetworkKind.MESH_2D, 4096) == 618

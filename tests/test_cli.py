@@ -1,8 +1,14 @@
 """Smoke tests for the CLI (every subcommand runs and prints key figures)."""
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import PAPER_VERBS, build_parser, main
+
+GOLDEN_ROOT = Path(__file__).resolve().parents[1] / "results" / "paper" / "golden"
 
 
 class TestParser:
@@ -12,43 +18,69 @@ class TestParser:
 
     def test_defaults(self):
         args = build_parser().parse_args(["tables"])
-        assert args.num_pes == 4096
+        assert args.sections == ["table-1a", "table-1b", "table-2a", "table-2b"]
+        assert args.profile == "full" and args.print_artifacts
+        assert not args.check
+
+    @pytest.mark.parametrize("verb", sorted(PAPER_VERBS))
+    def test_each_verb_is_its_paper_alias(self, verb):
+        """A verb is `paper --sections ...` that prints instead of writing:
+        no option of its own, every other setting the paper default."""
+        parser = build_parser()
+        sections, _ = PAPER_VERBS[verb]
+        alias = vars(parser.parse_args([verb]))
+        paper = vars(parser.parse_args(["paper", "--sections", *sections]))
+        for args in (alias, paper):
+            args.pop("command")
+        assert alias == {**paper, "print_artifacts": True}
 
 
 class TestCommands:
+    """The paper verbs regenerate their sections at the full profile and
+    print every table and figure."""
+
+    @pytest.fixture(autouse=True)
+    def _isolated_cwd(self, tmp_path, monkeypatch):
+        # The verbs write the campaign store and the plan cache under the
+        # working directory; keep every test out of the repo tree.
+        monkeypatch.chdir(tmp_path)
+
     def test_tables(self, capsys):
-        assert main(["tables", "--num-pes", "64"]) == 0
+        assert main(["tables"]) == 0
         out = capsys.readouterr().out
         assert "Table 1A" in out and "Table 2B" in out
 
     def test_tables_4096_shows_published_times(self, capsys):
-        main(["tables"])
+        assert main(["tables"]) == 0
         out = capsys.readouterr().out
         assert "8.00 us" in out
         assert "3.12 us" in out
         assert "300.0 ns" in out
 
     def test_section4(self, capsys):
-        main(["section4"])
+        assert main(["section4"]) == 0
         out = capsys.readouterr().out
-        assert "26.7x vs mesh" in out
-        assert "10.4x vs hypercube" in out
-        assert "13.3x vs mesh" in out
+        assert "| IV-A | 26.67 | 10.4 |" in out
+        assert "| IV-B 20ns lines | 13.33 | 6 |" in out
 
     def test_bisection(self, capsys):
-        main(["bisection"])
+        assert main(["bisection"]) == 0
         out = capsys.readouterr().out
-        assert "hypermesh / mesh" in out
+        assert "Section V — bisection ratios" in out
+        assert "| hypermesh / mesh | 160 |" in out
 
     def test_sweep(self, capsys):
-        main(["sweep", "--max-exponent", "5"])
+        assert main(["sweep"]) == 0
         out = capsys.readouterr().out
+        assert "| 4096 | 26.67 | 10.4 |" in out
+        assert "| 1048576 |" in out  # 4^10, the largest size
         assert "legend" in out
 
     def test_figures(self, capsys):
-        main(["figures", "--side", "3"])
+        assert main(["figures"]) == 0
         out = capsys.readouterr().out
         assert "Fig. 1" in out and "Fig. 3" in out
+        assert "no n x n crossbar" in out and "bit-reversal" in out
 
     def test_fft(self, capsys):
         main(["fft", "--side", "4"])
@@ -61,28 +93,79 @@ class TestCommands:
         assert out.count("sorted=True") == 3
 
     def test_omega(self, capsys):
-        main(["omega", "--num-ports", "16"])
+        assert main(["omega"]) == 0
         out = capsys.readouterr().out
-        assert "admissible in one pass: True" in out
-        assert "hypermesh 3 steps" in out
+        assert "Omega network vs 2D hypermesh (N=64)" in out
+        assert "| every FFT butterfly exchange | 1 | 1 | admissible |" in out
+        assert "| bit reversal | 8 | 3 |" in out
 
     def test_universality(self, capsys):
-        main(["universality", "--num-pes", "64"])
+        assert main(["universality"]) == 0
         out = capsys.readouterr().out
         assert "advantage" in out
-        assert "measured random-permutation routing" in out
+        assert "measured random-permutation routing (N=256" in out
 
     def test_shapes(self, capsys):
-        main(["shapes"])
+        assert main(["shapes"]) == 0
         out = capsys.readouterr().out
         assert "64^2" in out and "300.0 ns" in out
 
-    def test_sweep_parallel_matches_serial(self, capsys):
-        main(["sweep", "--max-exponent", "4"])
-        serial = capsys.readouterr().out
-        main(["sweep", "--max-exponent", "4", "--workers", "2"])
-        parallel = capsys.readouterr().out
-        assert parallel == serial
+    def test_verb_prints_instead_of_writing(self, tmp_path, capsys):
+        """results/paper/ holds the smoke renders; a full-profile alias
+        must not overwrite them."""
+        assert main(["shapes"]) == 0
+        assert "wrote" not in capsys.readouterr().out
+        assert not (tmp_path / "results" / "paper").exists()
+
+
+class TestExperimentCommand:
+    """`repro experiment <id>`: the sections claiming the id, regenerated
+    at the full profile and golden-checked."""
+
+    @pytest.fixture(autouse=True)
+    def _cwd_with_goldens(self, tmp_path, monkeypatch):
+        gold = tmp_path / "results" / "paper" / "golden"
+        gold.parent.mkdir(parents=True)
+        gold.symlink_to(GOLDEN_ROOT, target_is_directory=True)
+        monkeypatch.chdir(tmp_path)
+
+    def test_single_experiment(self, capsys):
+        assert main(["experiment", "E5"]) == 0
+        out = capsys.readouterr().out
+        assert "| IV-A | 26.67 | 10.4 |" in out
+        assert "2 tables compared, 0 drifting cells" in out
+
+    def test_case_insensitive(self, capsys):
+        assert main(["experiment", "e7"]) == 0
+        assert "0 drifting cells" in capsys.readouterr().out
+
+    def test_sectionless_id_exits_2(self, capsys):
+        assert main(["experiment", "E13"]) == 2
+        err = capsys.readouterr().err
+        assert "E13 has no paper section" in err
+        assert "docs/REPRODUCING.md" in err
+
+    def test_drift_exits_1(self, tmp_path, capsys):
+        gold = tmp_path / "results" / "paper" / "golden"
+        gold.unlink()
+        shutil.copytree(GOLDEN_ROOT, gold)
+        path = gold / "full" / "section-4" / "section-4-speedups.json"
+        data = json.loads(path.read_text())
+        data["rows"][0]["hypermesh_vs_mesh"] = 27.0
+        path.write_text(json.dumps(data))
+        assert main(["experiment", "E5"]) == 1
+        out = capsys.readouterr().out
+        assert "DRIFT" in out and "'hypermesh_vs_mesh'" in out
+
+    def test_failed_task_exits_1(self, monkeypatch, capsys):
+        import repro.paper.sections as sections
+
+        def crash(params):
+            raise RuntimeError("injected section crash")
+
+        monkeypatch.setattr(sections, "run_section_task", crash)
+        assert main(["experiment", "E5"]) == 1
+        assert "section section-4 failed" in capsys.readouterr().err
 
 
 class TestPaperCommand:
@@ -264,7 +347,9 @@ class TestCampaignCommands:
     def test_list(self, capsys):
         assert main(["campaign", "list"]) == 0
         out = capsys.readouterr().out
-        assert "engine-sweep" in out and "experiments" in out
+        names = [line.split()[0] for line in out.splitlines()]
+        assert "engine-sweep" in names and "paper" in names
+        assert "experiments" not in names
 
     def test_run_status_report_cycle(self, tmp_path, capsys):
         store = str(tmp_path)

@@ -21,7 +21,7 @@ PACKAGES = [
     "repro.algos",
     "repro.models",
     "repro.viz",
-    "repro.experiments",
+    "repro.paper",
     "repro.service",
 ]
 

@@ -26,11 +26,12 @@ Two checks, both run by the CI docs job and by
    ``python tools/check_docs.py --write`` after changing a registry to
    regenerate them all.
 
-3. **Experiment mapping check** — every experiment id the paper-section
-   registry claims (``repro.paper.sections``) must exist as an ``## E<k>``
-   heading in EXPERIMENTS.md, and every EXPERIMENTS.md entry must be
-   mapped (by id) in docs/REPRODUCING.md, so the E-id ↔ section mapping
-   cannot silently drift.
+3. **Experiment mapping check** — every ``## E<k>`` entry of
+   EXPERIMENTS.md must be claimed by exactly one paper section
+   (``repro.paper.sections``), or be listed in ``SECTIONLESS_EXPERIMENTS``
+   and mapped in docs/REPRODUCING.md to a tier-1 test path that exists;
+   every E-id a section claims must be such a heading.  A
+   ``benchmarks/*.py`` path named in any checked doc must exist.
 
 Exit code 0 when clean, 1 with a report of every failure otherwise.
 Usage::
@@ -68,6 +69,10 @@ EXPERIMENTS = REPO / "EXPERIMENTS.md"
 REPRODUCING = REPO / "docs" / "REPRODUCING.md"
 
 _EXPERIMENT_HEADING = re.compile(r"^## (E\d+) ", re.MULTILINE)
+#: One experiment row of the docs/REPRODUCING.md table: its id, the rest.
+_GUIDE_ROW = re.compile(r"^\| (E\d+) \|(.*)$", re.MULTILINE)
+_TEST_PATH = re.compile(r"\btests/[\w/]+\.py\b")
+_BENCH_PATH = re.compile(r"\bbenchmarks/\w+\.py\b")
 
 #: Files whose relative links are checked.
 LINKED_DOCS = ("README.md", "EXPERIMENTS.md", "ROADMAP.md", "DESIGN.md")
@@ -75,14 +80,16 @@ LINKED_DOCS = ("README.md", "EXPERIMENTS.md", "ROADMAP.md", "DESIGN.md")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 
+def _checked_docs() -> list[Path]:
+    files = [REPO / name for name in LINKED_DOCS]
+    files += sorted((REPO / "docs").glob("*.md"))
+    return [doc for doc in files if doc.exists()]
+
+
 def check_links() -> list[str]:
     """Relative markdown links that do not resolve, as error strings."""
     errors = []
-    files = [REPO / name for name in LINKED_DOCS]
-    files += sorted((REPO / "docs").glob("*.md"))
-    for doc in files:
-        if not doc.exists():
-            continue
+    for doc in _checked_docs():
         for match in _LINK.finditer(doc.read_text()):
             target = match.group(1)
             if target.startswith(("http://", "https://", "mailto:", "#")):
@@ -222,13 +229,20 @@ def check_experiments() -> list[str]:
 
     * every E-id a registered section claims must be an ``## E<k>``
       heading in EXPERIMENTS.md (no dangling references);
-    * every EXPERIMENTS.md entry must appear (as ``E<k>``) somewhere in
-      docs/REPRODUCING.md, so the regeneration guide stays complete.
+    * every EXPERIMENTS.md entry is claimed by exactly one section, or is
+      listed in ``SECTIONLESS_EXPERIMENTS`` and its docs/REPRODUCING.md
+      row names a tier-1 test path that exists;
+    * every entry has a row in docs/REPRODUCING.md.
     """
-    from repro.paper.sections import PAPER_SECTIONS
+    from collections import Counter
+
+    from repro.paper.sections import PAPER_SECTIONS, SECTIONLESS_EXPERIMENTS
 
     errors = []
     documented = set(_EXPERIMENT_HEADING.findall(EXPERIMENTS.read_text()))
+    claims = Counter(
+        eid for spec in PAPER_SECTIONS.values() for eid in spec.experiments
+    )
     for spec in PAPER_SECTIONS.values():
         for eid in spec.experiments:
             if eid not in documented:
@@ -239,14 +253,57 @@ def check_experiments() -> list[str]:
     if not REPRODUCING.exists():
         errors.append("docs/REPRODUCING.md is missing")
         return errors
-    guide_ids = set(re.findall(r"\bE\d+\b", REPRODUCING.read_text()))
-    for eid in sorted(documented, key=lambda e: int(e[1:])):
-        if eid not in guide_ids:
+    rows = dict(_GUIDE_ROW.findall(REPRODUCING.read_text()))
+    for eid in sorted(documented | set(SECTIONLESS_EXPERIMENTS),
+                      key=lambda e: int(e[1:])):
+        sectionless = eid in SECTIONLESS_EXPERIMENTS
+        if eid not in documented:
+            errors.append(
+                f"SECTIONLESS_EXPERIMENTS lists {eid}, which has no "
+                "'## E<k>' heading in EXPERIMENTS.md"
+            )
+        elif claims[eid] > 1:
+            errors.append(
+                f"EXPERIMENTS.md entry {eid} is claimed by {claims[eid]} "
+                "paper sections; one must claim it"
+            )
+        elif claims[eid] == 1 and sectionless:
+            errors.append(
+                f"{eid} is claimed by a paper section and also listed in "
+                "SECTIONLESS_EXPERIMENTS"
+            )
+        elif claims[eid] == 0 and not sectionless:
+            errors.append(
+                f"EXPERIMENTS.md entry {eid} is claimed by no paper section "
+                "and is not in SECTIONLESS_EXPERIMENTS"
+            )
+        if eid not in rows:
             errors.append(
                 f"EXPERIMENTS.md entry {eid} is not mapped in "
                 "docs/REPRODUCING.md"
             )
+        elif sectionless:
+            paths = _TEST_PATH.findall(rows[eid])
+            if not paths:
+                errors.append(
+                    f"docs/REPRODUCING.md maps {eid} to no tier-1 test path"
+                )
+            errors += [
+                f"docs/REPRODUCING.md maps {eid} to {path}, which does "
+                "not exist"
+                for path in paths if not (REPO / path).exists()
+            ]
     return errors
+
+
+def check_bench_paths() -> list[str]:
+    """``benchmarks/*.py`` paths named in a checked doc that do not exist."""
+    return [
+        f"{doc.relative_to(REPO)}: names {path}, which does not exist"
+        for doc in _checked_docs()
+        for path in sorted(set(_BENCH_PATH.findall(doc.read_text())))
+        if not (REPO / path).exists()
+    ]
 
 
 def _check_block(doc: Path, begin: str, render, source: str, write: bool
@@ -294,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     errors = check_links() + check_contract(write=args.write)
-    errors += check_experiments()
+    errors += check_experiments() + check_bench_paths()
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if not errors:
