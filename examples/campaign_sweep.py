@@ -82,7 +82,7 @@ def main() -> None:
             print(f"  {record.label}: {record.status}{kind}")
         print()
 
-        # 5. Aggregate into a BENCH_*-style JSON report.
+        # 5. Aggregate into a BENCH-style JSON report.
         report = campaign_report(spec, result.records)
         best = max(report["rows"], key=lambda r: r["payload"]["steps"])
         print(
@@ -93,7 +93,7 @@ def main() -> None:
     # The CLI drives the same machinery against results/campaigns/:
     #   repro campaign run engine-sweep --workers 4
     #   repro campaign status engine-sweep
-    #   repro campaign report engine-sweep --output BENCH_engine_sweep.json
+    #   repro campaign report engine-sweep --output engine-sweep-report.json
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ sweeps as first-class *campaigns*:
 * :mod:`~repro.campaign.executor` — a multiprocessing worker pool with
   per-task timeout, bounded retry and crash isolation;
 * :mod:`~repro.campaign.metrics` / :mod:`~repro.campaign.report` —
-  structured per-task metrics aggregated into tables and
-  ``BENCH_*``-compatible JSON.
+  structured per-task metrics aggregated into tables and BENCH-style
+  JSON.
 
 Quick start::
 

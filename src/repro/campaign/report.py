@@ -1,9 +1,7 @@
-"""Campaign reporting: status tables for humans, ``BENCH_*``-style JSON for
-the perf-trajectory artifacts at the repo root.
+"""Campaign reporting: status tables for humans, BENCH-style JSON for tools.
 
-The JSON shape mirrors ``BENCH_engine.json`` (a ``benchmark`` identifier, a
-flat ``rows`` list, and a summary block) so campaign artifacts slot into the
-same tooling that reads the existing benchmark files.
+The JSON shape is a ``benchmark`` identifier, a flat ``rows`` list, and a
+summary block, so one reader handles every campaign's report.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ def campaign_report(
     wall_seconds: float = 0.0,
     extra: dict | None = None,
 ) -> dict:
-    """Aggregate records into a ``BENCH_*``-compatible JSON document."""
+    """Aggregate records into a BENCH-style JSON document."""
     records = list(records)
     summary = summarize(records, wall_seconds=wall_seconds)
     name = spec.name if spec is not None else "campaign"

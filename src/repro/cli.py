@@ -2,7 +2,7 @@
 
 Usage (installed as ``repro``, or ``python -m repro``)::
 
-    repro paper             # regenerate every paper artifact (results/paper/)
+    repro paper             # every paper artifact into results/paper/full/
     repro paper --check     # ... and diff tables against checked-in goldens
     repro tables            # Tables 1A, 1B, 2A, 2B at N=4096
     repro section4          # the 4K-PE worked comparison (eqs 2-4, IV-B)
@@ -39,8 +39,7 @@ __all__ = ["main"]
 #: Each paper verb is ``repro paper --sections <these>`` at the full
 #: profile (whose sizes are the verbs' historical defaults), printing every
 #: regenerated table and figure instead of writing them under
-#: ``results/paper/`` (which holds the smoke profile's renders):
-#: (sections, help).
+#: ``results/paper/full/``: (sections, help).
 PAPER_VERBS: dict[str, tuple[tuple[str, ...], str]] = {
     "tables": (("table-1a", "table-1b", "table-2a", "table-2b"),
                "Tables 1A/1B/2A/2B"),
@@ -381,10 +380,6 @@ def _cmd_plans_stats(args: argparse.Namespace) -> int:
     print(f"{'bytes:':16s}{cache.disk_bytes()}")
     for name, value in counters.items():
         print(f"{name + ':':16s}{value}")
-    # Cumulative cross-process disk-tier traffic from the locked sidecar
-    # (every writer that ever used this root, not just this process).
-    for name, value in sorted(cache.persistent_counters().items()):
-        print(f"{'disk-' + name + ':':16s}{value}")
     lookups = counters["hits"] + counters["misses"]
     rate = counters["hits"] / lookups if lookups else 0.0
     print(f"{'hit-rate:':16s}{rate:.3f}")
@@ -773,12 +768,11 @@ def _cmd_paper(args: argparse.Namespace) -> int:
                 print(table.to_markdown())
             for figure in artifacts.figures:
                 print(figure.render())
-    if result.campaign is not None:
-        s = result.campaign.summary
-        print(
-            f"campaign {result.campaign.spec.name}: {s.executed} executed, "
-            f"{s.cache_hits} cache hits, {s.failed} failed"
-        )
+    s = result.campaign.summary
+    print(
+        f"campaign {result.campaign.spec.name}: {s.executed} executed, "
+        f"{s.cache_hits} cache hits, {s.failed} failed"
+    )
     if not result.ok:
         for section, labels in result.failed_sections.items():
             print(
@@ -833,14 +827,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "paper",
-        help="regenerate every paper artifact into results/paper/ "
+        help="regenerate every paper artifact into results/paper/<profile>/ "
         "(--check diffs tables against the goldens)",
         description=(
             "The one-command reproducible paper pipeline: expands the "
             "section registry (repro.paper.sections) into a resumable "
             "campaign, renders every table (markdown + JSON) and figure "
-            "into results/paper/<section>/, and with --check diffs each "
-            "regenerated table cell-by-cell against the goldens under "
+            "into results/paper/<profile>/<section>/, and with --check "
+            "diffs each regenerated table cell-by-cell against the goldens "
+            "under "
             "results/paper/golden/<profile>/.  See docs/REPRODUCING.md."
         ),
     )
@@ -856,7 +851,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-golden", action="store_true",
                    help="record the regenerated tables as the new goldens")
     p.add_argument("--root", default="results/paper",
-                   help="output directory (default: results/paper)")
+                   help="paper results root: artifacts go to "
+                   "<root>/<profile>/ (default: results/paper)")
     p.add_argument("--golden-root", default=None,
                    help="golden directory (default: <root>/golden/<profile>)")
     p.add_argument("--store", default="results/campaigns",

@@ -2,10 +2,9 @@
 
 The ROADMAP's "make hot paths measurably faster" needs attribution before
 optimization: :func:`profile_call` runs any callable under ``cProfile`` and
-returns the top-N hot functions as a JSON-serializable document (the same
-spirit as the repo-root ``BENCH_*.json`` artifacts), and :func:`timed` is
-the one-line ``perf_counter`` wrapper used wherever a single wall-clock
-number is enough.
+returns the top-N hot functions as a JSON-serializable document, and
+:func:`timed` is the one-line ``perf_counter`` wrapper used wherever a
+single wall-clock number is enough.
 
 :data:`PROFILE_BENCHMARKS` registers small, deterministic workloads that
 exercise each hot path — the ``repro profile <benchmark>`` CLI verb runs

@@ -5,9 +5,8 @@ checked in under ``results/paper/golden/<profile>/<section>/<table>.json``.
 ``repro paper --check`` regenerates every golden-flagged section and diffs
 each table against its golden **cell by cell**: any drift is reported as a
 named ``(table, row, column, expected, got)`` tuple and fails the run.
-Only deterministic sections carry goldens — host timings (the BENCH_*
-trajectory charts) and pure ASCII figures are excluded by the registry's
-``golden`` flag.
+Only golden-flagged sections carry goldens: pure ASCII figures are
+excluded by the registry's ``golden`` flag.
 
 Comparison is exact over the JSON round trip: every golden-eligible value
 is either closed-form arithmetic or a seeded measurement, so float noise

@@ -6,13 +6,13 @@
 :class:`~repro.campaign.store.ResultStore` — so a rerun serves every task
 from the store and a killed run resumes — renders each section's payloads
 into :class:`~repro.paper.sections.Table`/:class:`Figure` artifacts, and
-writes them under ``results/paper/``::
+writes them under one tree per profile::
 
     results/paper/
-      MANIFEST.json                    deterministic index of everything
-      <section>/tables/<name>.json     machine-readable (golden-checked)
-      <section>/tables/<name>.md       the same cells as markdown
-      <section>/figures/<name>.txt     ASCII figures
+      <profile>/MANIFEST.json                    deterministic index
+      <profile>/<section>/tables/<name>.json     machine-readable
+      <profile>/<section>/tables/<name>.md       the same cells as markdown
+      <profile>/<section>/figures/<name>.txt     ASCII figures
       golden/<profile>/...             checked-in goldens (never touched here)
 
 The layout is deterministic: no timestamps or host measurements are
@@ -50,11 +50,11 @@ class PaperRunResult:
 
     profile: PaperProfile
     sections: list[SectionSpec]
-    campaign: CampaignResult | None  # None when only local sections ran
+    campaign: CampaignResult
+    root: Path  # this profile's render tree: <results root>/<profile>
     artifacts: dict[str, SectionArtifacts] = field(default_factory=dict)
     failed_sections: dict[str, list[str]] = field(default_factory=dict)
     written: list[Path] = field(default_factory=list)
-    root: Path = Path(DEFAULT_ROOT)
 
     @property
     def ok(self) -> bool:
@@ -84,6 +84,8 @@ def run_paper(
 ) -> PaperRunResult:
     """Regenerate the selected paper sections (all of them by default).
 
+    ``root`` is the paper results root: the artifacts are written under
+    ``root/<profile name>/``, next to the goldens in ``root/golden/``.
     The campaign store under ``store_root`` makes reruns near-free: every
     unchanged task is a cache hit (``CampaignResult.summary.cache_hits``),
     and the routed sections' tasks route through the disk plan cache, so
@@ -92,29 +94,22 @@ def run_paper(
     """
     prof = _resolve_profile(profile)
     specs = resolve_sections(sections)
-    result = PaperRunResult(profile=prof, sections=specs, campaign=None,
-                            root=Path(root))
-
-    spec_names = [s.section for s in specs]
-    campaign_spec = paper_campaign(prof, spec_names)
-    campaign = None
-    if campaign_spec.tasks:
-        store = (
-            ResultStore.for_campaign(campaign_spec.name, store_root)
-            if store_root is not None
-            else None
-        )
-        campaign = run_campaign(
-            campaign_spec,
-            store,
-            workers=workers,
-            reuse=not force,
-            progress=progress,
-        )
-    result.campaign = campaign
-    by_hash: dict[str, TaskRecord] = (
-        {r.task_hash: r for r in campaign.records} if campaign else {}
+    campaign_spec = paper_campaign(prof, [s.section for s in specs])
+    store = (
+        ResultStore.for_campaign(campaign_spec.name, store_root)
+        if store_root is not None
+        else None
     )
+    campaign = run_campaign(
+        campaign_spec,
+        store,
+        workers=workers,
+        reuse=not force,
+        progress=progress,
+    )
+    result = PaperRunResult(profile=prof, sections=specs, campaign=campaign,
+                            root=Path(root) / prof.name)
+    by_hash = {r.task_hash: r for r in campaign.records}
 
     for spec in specs:
         tasks = spec.tasks(prof)
@@ -131,7 +126,7 @@ def run_paper(
         result.artifacts[spec.section] = spec.render(payloads, prof)
 
     if write:
-        result.written = write_artifacts(result.artifacts, root)
+        result.written = write_artifacts(result.artifacts, result.root)
     return result
 
 

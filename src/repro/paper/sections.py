@@ -11,7 +11,7 @@ registry is the single source of truth for the ``repro paper`` pipeline:
   :class:`~repro.campaign.spec.CampaignSpec` (shared tasks deduplicated),
   so regeneration is resumable and content-addressed like any campaign;
 * :mod:`repro.paper.runner` executes that campaign and writes the rendered
-  artifacts under ``results/paper/<section>/{tables,figures}``;
+  artifacts under ``results/paper/<profile>/<section>/{tables,figures}``;
 * :mod:`repro.paper.golden` diffs regenerated tables cell-by-cell against
   the checked-in goldens under ``results/paper/golden/<profile>/``;
 * ``tools/check_docs.py`` renders the section ↔ experiment mapping into
@@ -26,9 +26,7 @@ profile re-keys its tasks instead of serving stale cached payloads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from ..campaign.spec import TaskSpec
@@ -211,9 +209,8 @@ class SectionArtifacts:
 # ---------------------------------------------------------------------------
 # Section compute functions.  Each takes a profile and returns artifacts;
 # registry-computed sections run inside campaign workers via
-# run_section_task, grid sections assemble payloads of existing entry
-# points (run_routing_task, sweep_task), and local sections render in the
-# runner process from committed BENCH_* files.
+# run_section_task, and grid sections assemble payloads of existing entry
+# points (run_routing_task, sweep_task).
 # ---------------------------------------------------------------------------
 
 
@@ -660,93 +657,6 @@ def _sweep_assemble(
     )
 
 
-# -- local section: trajectory charts over the committed BENCH_* artifacts --
-
-
-def _bench_series_chart(path: Path, x_key: str, y_key: str, group_key: str,
-                        title: str) -> Figure | None:
-    from ..viz.series import ascii_chart
-
-    try:
-        rows = json.loads(path.read_text())["rows"]
-    except (OSError, KeyError, json.JSONDecodeError):
-        return None
-    groups: dict[str, dict[float, list[float]]] = {}
-    for row in rows:
-        if row.get(y_key) is None:
-            continue
-        by_x = groups.setdefault(str(row[group_key]), {})
-        by_x.setdefault(float(row[x_key]), []).append(float(row[y_key]))
-    if not groups:
-        return None
-    xs = sorted({x for by_x in groups.values() for x in by_x})
-    series = {}
-    for name, by_x in sorted(groups.items()):
-        # Mean over rows sharing an x cell; flat-fill gaps with the last
-        # seen value so every series spans the common axis.
-        values, last = [], None
-        for x in xs:
-            if x in by_x:
-                last = sum(by_x[x]) / len(by_x[x])
-            values.append(last if last is not None else 1.0)
-        series[name] = values
-    return Figure(
-        path.stem.lower().replace("_", "-"),
-        title,
-        ascii_chart(xs, series, log_y=True, title=f"{title} (log y)"),
-    )
-
-
-def _compute_bench_trajectories(profile: PaperProfile) -> SectionArtifacts:
-    """Charts over the committed ``BENCH_*.json`` trajectory artifacts.
-
-    Host-timing artifacts are not golden-checked (they measure this
-    machine, not the paper); a missing artifact renders a placeholder so
-    the section degrades instead of failing outside the repo root.
-    """
-    from ..viz.series import format_table
-
-    bench_dir = Path.cwd()
-    figures: list[Figure] = []
-    specs = (
-        ("BENCH_engine.json", "n", "speedup", "backend",
-         "Engine speedup vs seed loop, by backend"),
-        ("BENCH_plancache.json", "n", "replay_speedup", "topology",
-         "Plan-cache warm replay speedup, by topology"),
-        ("BENCH_faults.json", "amount", "steps_vs_fault_free", "topology",
-         "Degraded-mode step overhead vs fault severity"),
-    )
-    for filename, x_key, y_key, group_key, title in specs:
-        fig = _bench_series_chart(bench_dir / filename, x_key, y_key,
-                                  group_key, title)
-        if fig is not None:
-            figures.append(fig)
-    service = bench_dir / "BENCH_service.json"
-    try:
-        loads = json.loads(service.read_text())["loads"]
-        rows = [
-            [name, load["count"], load["p50_ms"], load["p95_ms"],
-             load["p99_ms"]]
-            for name, load in loads.items()
-        ]
-        figures.append(Figure(
-            "bench-service",
-            "Serving latency percentiles (ms) per path",
-            format_table(["load", "count", "p50", "p95", "p99"], rows),
-        ))
-    except (OSError, KeyError, json.JSONDecodeError):
-        pass
-    if not figures:
-        figures.append(Figure(
-            "bench-missing",
-            "BENCH_* trajectory artifacts",
-            "no BENCH_*.json artifacts found in the working directory;\n"
-            "run from the repository root (or regenerate them via the\n"
-            "benchmarks/ scripts) to chart the committed trajectories",
-        ))
-    return SectionArtifacts(figures=tuple(figures))
-
-
 # ---------------------------------------------------------------------------
 # The registry.
 # ---------------------------------------------------------------------------
@@ -762,9 +672,7 @@ class SectionSpec:
       executes :attr:`compute` in a worker, and the payload *is* the
       rendered artifact set;
     * grid (``task_grid``/``assemble`` set): the section fans out over
-      existing campaign entry points and assembles their payloads;
-    * local (``local=True``): rendered in the runner process (used for the
-      BENCH_* charts, which read committed files and are never cached).
+      existing campaign entry points and assembles their payloads.
     """
 
     section: str
@@ -775,7 +683,6 @@ class SectionSpec:
     compute: Callable[[PaperProfile], SectionArtifacts] | None = None
     task_grid: Callable[[PaperProfile], tuple[TaskSpec, ...]] | None = None
     assemble: Callable[[Sequence, PaperProfile], SectionArtifacts] | None = None
-    local: bool = False
 
     def __post_init__(self) -> None:
         grid = self.task_grid is not None or self.assemble is not None
@@ -784,17 +691,11 @@ class SectionSpec:
                 f"section {self.section!r}: task_grid and assemble "
                 "must be provided together"
             )
-        if self.local and (grid or self.compute is None):
-            raise ValueError(
-                f"section {self.section!r}: local sections need compute only"
-            )
-        if not self.local and not grid and self.compute is None:
+        if not grid and self.compute is None:
             raise ValueError(f"section {self.section!r} has no producer")
 
     def tasks(self, profile: PaperProfile) -> tuple[TaskSpec, ...]:
         """The campaign tasks that produce this section's data."""
-        if self.local:
-            return ()
         if self.task_grid is not None:
             return self.task_grid(profile)
         return (TaskSpec(
@@ -811,9 +712,6 @@ class SectionSpec:
         self, payloads: Sequence, profile: PaperProfile
     ) -> SectionArtifacts:
         """Turn the section's task payloads into tables and figures."""
-        if self.local:
-            assert self.compute is not None
-            return self.compute(profile)
         if self.assemble is not None:
             return self.assemble(payloads, profile)
         return SectionArtifacts.from_dict(payloads[0])
@@ -907,23 +805,15 @@ PAPER_SECTIONS: dict[str, SectionSpec] = _registry(
         task_grid=_comm_avoiding_tasks,
         assemble=_comm_avoiding_assemble,
     ),
-    SectionSpec(
-        "bench-trajectories", "BENCH_* trajectory charts",
-        ("E20", "E23", "E24"),
-        "ASCII charts over the committed BENCH_* artifacts (engine "
-        "backends, plan cache, faults, serving latency); host timings, "
-        "so rendered locally and never golden-checked",
-        golden=False,
-        compute=_compute_bench_trajectories,
-        local=True,
-    ),
 )
 
 
 #: EXPERIMENTS.md entries no section claims: extensions whose checks are
 #: tier-1 tests, each mapped to its test module in docs/REPRODUCING.md
 #: (``tools/check_docs.py`` keeps both lists complete and disjoint).
-SECTIONLESS_EXPERIMENTS = ("E12", "E13", "E15", "E17", "E18", "E21")
+SECTIONLESS_EXPERIMENTS = (
+    "E12", "E13", "E15", "E17", "E18", "E20", "E21", "E23", "E24",
+)
 
 
 def resolve_sections(names: Sequence[str] | None) -> list[SectionSpec]:
@@ -985,7 +875,7 @@ def run_section_task(params: dict) -> dict:
     profile name) and returns the rendered artifacts as a JSON dict.
     """
     spec = PAPER_SECTIONS[params["section"]]
-    if spec.compute is None or spec.local:
+    if spec.compute is None:
         raise ValueError(
             f"section {spec.section!r} is not registry-computed"
         )

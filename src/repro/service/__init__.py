@@ -12,8 +12,8 @@ fixed-permutation workloads into a serving architecture:
 * :mod:`repro.service.jobs` — request validation (named-field 400s) and
   the picklable worker entry point;
 * :mod:`repro.service.http` — the minimal asyncio HTTP/1.1 layer;
-* :mod:`repro.service.client` — the synchronous client every test and
-  the ``benchmarks/bench_service.py`` load harness drives the wire with;
+* :mod:`repro.service.client` — the synchronous client every test
+  drives the wire with;
 * :mod:`repro.service.testing` — :class:`ServiceRunner`, a real server
   on a background event loop for in-process tests.
 

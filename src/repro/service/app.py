@@ -72,9 +72,9 @@ ENDPOINTS = (
         "GET",
         "/v1/stats",
         "stats",
-        "Service, worker-pool, and plan-cache counters (per-process and "
-        "cross-process disk-tier totals), disk-tier inventory, and "
-        "per-source (warm, cold, coalesced) latency histograms.",
+        "Service, worker-pool, and plan-cache counters, disk-tier "
+        "inventory, and per-source (warm, cold, coalesced) latency "
+        "histograms.",
     ),
     (
         "GET",
@@ -326,7 +326,6 @@ class RoutingService:
             "service": self.counters(),
             "pool": self.pool.counters(),
             "plancache": self.cache.counters(),
-            "plancache_disk": self.cache.persistent_counters(),
             "plans_on_disk": len(self.cache.disk_blobs()),
             "uptime": round(time.monotonic() - self._started, 3),
             "latency": {

@@ -1,8 +1,8 @@
-"""In-process service runner for tests and the load harness.
+"""In-process service runner for tests.
 
 :class:`ServiceRunner` runs a :class:`~repro.service.app.RoutingService`
-on its own event loop in a daemon thread, so synchronous test code (and
-``benchmarks/bench_service.py``) can drive a *real* socket-level server —
+on its own event loop in a daemon thread, so synchronous test code can
+drive a *real* socket-level server —
 actual HTTP over localhost, actual worker processes — without subprocess
 management or port guessing (``port=0`` binds an ephemeral port).
 

@@ -5,10 +5,9 @@ as it shipped in the seed tree.  The production engine in
 :mod:`repro.sim.engine` was rebuilt around indexed data structures
 (active-node worklist, linked-list queues, cached next hops and net lookups);
 its contract is that it produces **bit-identical** schedules and statistics
-to this reference on every topology and demand set.  The equivalence test
-(``tests/sim/test_engine_equivalence.py``) and the engine scaling benchmark
-(``benchmarks/bench_library_perf.py``) both import this module — nothing in
-the library's runtime paths does.
+to this reference on every topology and demand set.  The equivalence tests
+(``tests/sim/test_engine_equivalence.py``, ``tests/sim/test_backends.py``)
+import this module — nothing in the library's runtime paths does.
 
 Do not "fix" or optimize this file: its value is that it does not change.
 (The one deliberate deviation from the seed text: the bare ``assert

@@ -29,16 +29,14 @@ picks the core itself with :func:`choose_backend`: a job of
 :data:`NUMPY_MIN_PACKETS` packets or more runs on the NumPy core, a
 smaller one on the indexed loop, fault-free or faulted, under either
 arbitration policy.  Callers may still name a core (``backend="indexed"``
-or ``"numpy"``); the equivalence suites and the benchmarks that time each
-core do.
+or ``"numpy"``); the equivalence suites do.
 
 Every core must reproduce the seed loop in :mod:`repro.sim._reference`
 exactly — same grant order (so cached plans record identical insertion
 order), same ``blocked_moves`` accounting, same error messages.  The
 equivalence suite (``tests/sim/test_backends.py``) and the differential
-fuzz harness (``tests/properties/test_engine_fuzz.py``) enforce this;
-``benchmarks/bench_engine_backends.py`` re-checks it per benchmark row
-while recording the per-core ``BENCH_engine.json`` artifact.
+fuzz harness (``tests/properties/test_engine_fuzz.py``) enforce this, up
+to the sizes where the engine picks the NumPy core.
 
 Why the arbitration vectorizes
 ------------------------------

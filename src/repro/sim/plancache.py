@@ -40,16 +40,10 @@ import itertools
 import json
 import os
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
-
-try:  # advisory file locking for the shared on-disk tier (POSIX only)
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback, best effort
-    fcntl = None
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -59,7 +53,6 @@ from .stats import RoutingStats
 __all__ = [
     "PLAN_SCHEMA_VERSION",
     "DEFAULT_PLAN_ROOT",
-    "STATS_SIDECAR",
     "PlanKey",
     "CachedPlan",
     "PlanBlobError",
@@ -101,12 +94,6 @@ class PlanBlobError(ValueError):
 #: Default root of the on-disk tier (``disk_cache()`` / ``cache="disk"``).
 DEFAULT_PLAN_ROOT = Path("results/plans")
 
-#: Sidecar of the on-disk tier recording cross-process traffic (``stores``
-#: / ``corrupt``), updated under an advisory lock so concurrent writers
-#: serialize their read-modify-write.  Underscore-prefixed so it is never
-#: mistaken for a plan blob (see :meth:`PlanCache.disk_blobs`).
-STATS_SIDECAR = "_stats.json"
-
 #: Process-local tmp-file counter: together with the pid it gives every
 #: in-flight blob write a unique staging name, so two processes (or two
 #: threads) recording the same digest can never interleave bytes in one
@@ -114,26 +101,6 @@ STATS_SIDECAR = "_stats.json"
 #: with a complete blob either way.
 _TMP_COUNTER = itertools.count()
 
-
-@contextmanager
-def _advisory_lock(root: Path) -> Iterator[None]:
-    """Hold the root's advisory write lock (no-op where flock is missing).
-
-    The lock only guards *bookkeeping* read-modify-writes (the stats
-    sidecar); plan blobs themselves never need it — they are written to
-    unique tmp names and atomically renamed, and identical keys produce
-    identical bytes.
-    """
-    if fcntl is None:  # pragma: no cover - non-POSIX
-        yield
-        return
-    lock_path = root / "_stats.lock"
-    with open(lock_path, "a+b") as handle:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 #: Router classes whose ``next_hop`` is a pure function of the topology in
 #: the key — the only routers whose plans are safe to share.  Maps class
@@ -430,10 +397,7 @@ class PlanCache:
 
     The on-disk tier is safe for concurrent writers across processes:
     blobs stage through per-process unique tmp names before their atomic
-    rename, and the cumulative disk-tier counters (``stores`` /
-    ``corrupt``, exposed via :meth:`persistent_counters`) live in a
-    sidecar updated under an advisory ``flock`` so two processes can
-    never interleave the read-modify-write.
+    rename, so a reader sees either no blob or a complete one.
     """
 
     def __init__(self, root: str | Path | None = None, *, capacity: int = 128):
@@ -501,7 +465,6 @@ class PlanCache:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        self._bump_persistent("stores")
 
     def _remember(self, digest: str, plan: CachedPlan) -> None:
         self._memory[digest] = plan
@@ -527,50 +490,7 @@ class PlanCache:
             # Torn write, truncation, or hand-edited garbage: treat as a
             # miss so the engine falls back to live routing.
             self.corrupt += 1
-            self._bump_persistent("corrupt")
             return None
-
-    # ------------------------------------------------- cross-process stats
-    def _bump_persistent(self, name: str, amount: int = 1) -> None:
-        """Add to a cumulative disk-tier counter in the stats sidecar.
-
-        Serialized under the root's advisory lock so concurrent writers in
-        different processes cannot interleave the read-modify-write and
-        lose increments.  Bookkeeping is advisory: an unwritable sidecar
-        must never fail the store that triggered it.
-        """
-        if self.root is None:
-            return
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with _advisory_lock(self.root):
-                path = self.root / STATS_SIDECAR
-                try:
-                    data = json.loads(path.read_text())
-                    if not isinstance(data, dict):
-                        data = {}
-                except (FileNotFoundError, json.JSONDecodeError):
-                    data = {}
-                data[name] = int(data.get(name, 0)) + amount
-                tmp = self.root / f".{STATS_SIDECAR}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
-                tmp.write_text(json.dumps(data, sort_keys=True) + "\n")
-                os.replace(tmp, path)
-        except OSError:  # pragma: no cover - read-only roots, full disks
-            pass
-
-    def persistent_counters(self) -> dict[str, int]:
-        """Cumulative disk-tier counters shared by every process using this
-        root (``stores`` / ``corrupt``), or ``{}`` for memory-only caches
-        and fresh roots."""
-        if self.root is None:
-            return {}
-        try:
-            data = json.loads((self.root / STATS_SIDECAR).read_text())
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            return {}
-        if not isinstance(data, dict):
-            return {}
-        return {str(k): int(v) for k, v in data.items()}
 
     # ------------------------------------------------------------ inventory
     def __len__(self) -> int:
@@ -579,8 +499,8 @@ class PlanCache:
     def disk_blobs(self) -> list[Path]:
         """Plan blobs currently on disk (empty for memory-only caches).
 
-        Bookkeeping files — the ``_stats.json`` sidecar, the ``_stats.lock``
-        advisory-lock file, staged ``.tmp`` writes — are not blobs and are
+        Names starting with ``.`` or ``_`` (staged writes, and the stats
+        sidecar older versions kept in the root) are not blobs and are
         excluded.
         """
         if self.root is None or not self.root.exists():

@@ -65,7 +65,7 @@ class MeshDimensionOrderRouter:
 
     Implemented with precomputed digit strides instead of the generic
     mixed-radix helpers: next_hop dominates adaptive-routing runs, and the
-    stride form is ~4x faster (see ``bench_library_perf``).
+    stride form is ~4x faster.
     """
 
     def __init__(self, mesh: Mesh):

@@ -179,9 +179,8 @@ class CommSchedule:
 
         Exactly the pre-vectorization implementation: every move checked
         one dict entry at a time.  :meth:`validate` falls back to it for
-        precise errors, the equivalence tests hold it against the fast
-        path, and ``benchmarks/bench_plancache.py`` uses it as the timing
-        baseline.
+        precise errors, and the equivalence tests hold it against the fast
+        path.
         """
         topo = self.topology
         n = self.logical.n

@@ -111,9 +111,8 @@ WORKLOAD_BUILDERS = {
 def build_workload(name: str, n: int, seed: int) -> tuple[list[int], list[int]]:
     """Build a ``(sources, destinations)`` workload from an explicit seed.
 
-    The per-size seed offset matches the PR 1 benchmark convention
-    (``seed + n``) so campaign results are comparable with
-    ``BENCH_engine.json`` rows.
+    The per-size seed offset (``seed + n``) gives every size of a sweep its
+    own draw from one seed.
     """
     try:
         builder = WORKLOAD_BUILDERS[name]

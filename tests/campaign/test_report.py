@@ -56,7 +56,7 @@ class TestReport:
         assert report["rows"][0]["payload"] == {"steps": 3}
         assert report["grid"] == {"n": [1, 2, 3]}
 
-        path = write_report(report, tmp_path / "BENCH_demo.json")
+        path = write_report(report, tmp_path / "report.json")
         assert json.loads(path.read_text())["benchmark"] == "repro.campaign::demo"
 
     def test_status_table_lists_every_task(self):

@@ -35,7 +35,7 @@ class TestHypercube:
 
 
 class TestHypermesh:
-    @pytest.mark.parametrize("side", [2, 4, 8])
+    @pytest.mark.parametrize("side", [2, 4, 8, 64])
     def test_at_most_three_steps(self, side):
         hm = Hypermesh2D(side)
         sched = hypermesh_bit_reversal_schedule(hm)

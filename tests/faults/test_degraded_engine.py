@@ -5,15 +5,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bounds import certify
 from repro.faults import FaultModel, UnroutableError
 from repro.networks import Hypermesh2D, Mesh2D
 from repro.routing import Permutation
 from repro.sim import (
     PlanCache,
     ScheduleError,
+    ENGINE_BACKENDS,
     route_demands,
     route_permutation,
 )
+from repro.sim.task import build_topology
 
 
 def _reversal(n: int) -> list[tuple[int, int]]:
@@ -195,3 +198,64 @@ class TestEnginePlumbing:
         routed = route_permutation(topo, perm, fault_model=model)
         routed.schedule.validate()
         assert routed.schedule.final_positions() == list(reversed(range(16)))
+
+
+#: The severity grid of the degraded-mode sweep at N = 64 and 256:
+#: link-failure fractions and drop probabilities (unbounded retries) on
+#: the point-to-point families, degraded-net counts on the hypermesh.
+SEVERITY_GRID = [
+    (topology, n, axis, amount)
+    for n in (64, 256)
+    for topology in ("mesh2d", "torus2d", "hypercube")
+    for axis, amounts in (("link_fail_fraction", (0.0, 0.05, 0.1, 0.2)),
+                          ("drop_prob", (0.2, 0.4)))
+    for amount in amounts
+] + [
+    ("hypermesh2d", n, "degraded_nets", count)
+    for n in (64, 256)
+    for count in (0, 1, 2)
+]
+
+
+class TestSeverityGrid:
+    """Every cell of the severity grid, a reversal h-relation:
+    each core routes it bit-identically and deterministically (or refuses
+    it with the same message), a disabled model routes the fault-free
+    baseline, every packet is delivered or dropped, detours and retries
+    never shorten the total work, and the steps clear the fault-aware,
+    drop-discounted floor."""
+
+    @pytest.mark.parametrize("topology, n, axis, amount", SEVERITY_GRID)
+    def test_cell_contracts(self, topology, n, axis, amount):
+        topo = build_topology(topology, n)
+        if axis == "degraded_nets":
+            amount = frozenset(range(amount))
+        model = FaultModel(seed=99, **{axis: amount})
+        demands = _reversal(topo.num_nodes)
+        baseline = route_demands(topo, demands, cache=False)
+        runs, errors = [], set()
+        # None is the default dispatch: the indexed core again below
+        # 1,024 packets, so the cell is also routed twice by one core.
+        for backend in (*ENGINE_BACKENDS, None):
+            try:
+                routed = route_demands(topo, demands, fault_model=model,
+                                       backend=backend, cache=False)
+            except UnroutableError as exc:
+                errors.add(str(exc))
+            else:
+                runs.append(([list(s.items()) for s in routed.steps],
+                             routed.stats))
+        if errors:
+            assert not runs and len(errors) == 1, errors
+            return
+        steps, stats = runs[0]
+        assert all(run == runs[0] for run in runs)
+        if not model.enabled:
+            assert stats == baseline.stats
+            assert steps == [list(s.items()) for s in baseline.steps]
+        assert stats.delivered + stats.dropped == len(demands)
+        assert stats.total_hops >= baseline.stats.total_hops or stats.dropped
+        cert = certify(topo, demands, stats.steps,
+                       fault_model=model if model.enabled else None,
+                       dropped=stats.dropped)
+        assert 0 <= cert.bound <= stats.steps

@@ -7,7 +7,7 @@ from repro.fft import dft_direct, fft_dif, ifft_dif
 
 
 class TestAgainstNumpy:
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256, 1024])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256, 1024, 4096])
     def test_random_complex(self, n, rng):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert np.allclose(fft_dif(x), np.fft.fft(x))

@@ -48,8 +48,7 @@ class TestRegistry:
 
     def test_golden_flags(self):
         assert PAPER_SECTIONS["table-1a"].golden
-        # Host-timing charts and pure ASCII figures are never goldens.
-        assert not PAPER_SECTIONS["bench-trajectories"].golden
+        # Pure ASCII figures are never goldens.
         assert not PAPER_SECTIONS["figures"].golden
 
     def test_section_command_names_the_section(self):
@@ -118,7 +117,7 @@ class TestArtifactsModel:
 class TestComputedSections:
     @pytest.mark.parametrize("section", [
         s.section for s in PAPER_SECTIONS.values()
-        if s.compute is not None and not s.local
+        if s.compute is not None
     ])
     def test_compute_is_deterministic_and_serializable(self, section):
         params = {"section": section, "schema": 1,
@@ -143,9 +142,9 @@ class TestComputedSections:
             labels = [t.label for t in tasks]
             assert len(set(labels)) == len(labels), spec.section
 
-    def test_run_section_task_rejects_local_sections(self):
+    def test_run_section_task_rejects_grid_sections(self):
         with pytest.raises(ValueError, match="not registry-computed"):
-            run_section_task({"section": "bench-trajectories",
+            run_section_task({"section": "sweep",
                               "profile": SMOKE.to_params()})
 
 

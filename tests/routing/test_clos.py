@@ -73,6 +73,11 @@ class TestRandom:
         perm = Permutation.random(side * side, np.random.default_rng(0))
         _check_route(perm, side)
 
+    def test_4096_point_machine(self):
+        side = 64
+        perm = Permutation.random(side * side, np.random.default_rng(99))
+        _check_route(perm, side)
+
 
 class TestValidation:
     def test_non_square_rejected(self):

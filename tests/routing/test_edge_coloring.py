@@ -106,3 +106,15 @@ class TestKoenigOptimality:
         assert k == delta
         assert colors.max() < delta  # never exceeds Delta - 1
         validate_edge_coloring(6, 7, edges, colors)
+
+    def test_4096_random_edges_on_64_by_64(self):
+        """The row-demand graph of a random 4096-packet h-relation on a
+        64 x 64 hypermesh: average degree 64, so Delta >= 64."""
+        rng = np.random.default_rng(99)
+        edges = [(int(u), int(v)) for u, v in rng.integers(64, size=(4096, 2))]
+        degrees = np.bincount([u for u, _ in edges], minlength=64).tolist()
+        degrees += np.bincount([v for _, v in edges], minlength=64).tolist()
+        colors, k = bipartite_edge_coloring(64, 64, edges)
+        assert len(colors) == 4096
+        assert k == max(degrees) >= 64
+        validate_edge_coloring(64, 64, edges, colors)

@@ -10,6 +10,7 @@ that contract and the rule; the differential fuzz harness in
 """
 
 import inspect
+import json
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.networks import (
     Torus2D,
 )
 from repro.routing import Permutation, bit_reversal
+from repro.bounds import certify
 from repro.sim import (
     ENGINE_BACKENDS,
     PlanCache,
@@ -35,7 +37,9 @@ from repro.sim import (
 from repro.sim._reference import reference_route_core
 from repro.sim.degraded import route_core_degraded
 from repro.sim.engine import _route_core
+from repro.sim.plancache import CachedPlan
 from repro.sim.routers import router_for
+from repro.sim.task import build_topology, build_workload
 from repro.sim.schedule import ScheduleError
 
 TOPOLOGIES = [
@@ -189,6 +193,38 @@ class TestCoreEquivalence:
         )
 
 
+def _plan_payload(steps, stats):
+    return json.dumps(CachedPlan.from_run(steps, stats).to_payload(),
+                      sort_keys=True)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("name", ["mesh2d", "hypercube", "hypermesh2d"])
+def test_cores_match_the_seed_loop_at_scale(name, n):
+    """Every core, and the default dispatch, against the seed loop at
+    N = 256 and 1,024 on the campaign's seeded dense permutation and
+    2*sqrt(N)-packet sparse h-relation: identical steps, stats and
+    plan-blob payloads, and a step count that clears its certified floor.
+    A dense permutation at N = 1,024 is where the dispatch first picks the
+    NumPy core (``NUMPY_MIN_PACKETS``)."""
+    topology = build_topology(name, n)
+    router = router_for(topology)
+    max_steps = 16 * (10 * topology.diameter + 10 * n)
+    for workload in ("dense-permutation", "sparse-hrelation"):
+        srcs, dsts = build_workload(workload, n, seed=99)
+        want = reference_route_core(topology, srcs, dsts, router, max_steps)
+        payload = _plan_payload(*want)
+        for backend in ENGINE_BACKENDS:
+            got = resolve_backend(backend)(topology, srcs, dsts, router,
+                                           max_steps)
+            assert_bit_identical(got, want)
+            assert _plan_payload(*got) == payload
+        routed = route_demands(topology, list(zip(srcs, dsts)), cache=False)
+        assert_bit_identical((list(routed.steps), routed.stats), want)
+        cert = certify(topology, list(zip(srcs, dsts)), want[1].steps)
+        assert 0 <= cert.bound <= want[1].steps
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBackendSemantics:
     def test_max_steps_guard_identical(self, backend):
@@ -313,10 +349,7 @@ class TestCrossBackendCache:
             route_permutation(
                 topo, perm, backend=backend, cache=PlanCache(root)
             )
-            paths = [
-                p for p in root.rglob("*.json")
-                if not p.name.startswith(("_", "."))  # skip the counters sidecar
-            ]
+            paths = list(root.rglob("*.json"))
             assert len(paths) == 1
             blobs[backend] = (paths[0].name, paths[0].read_bytes())
         names = {name for name, _ in blobs.values()}

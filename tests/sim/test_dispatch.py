@@ -55,11 +55,7 @@ def test_boundary_picks_the_core(arbitration, faulted, monkeypatch):
 
 
 def _blobs(root):
-    return sorted(
-        (p.name, p.read_bytes())
-        for p in root.rglob("*.json")
-        if not p.name.startswith(("_", "."))  # skip the counters sidecar
-    )
+    return sorted((p.name, p.read_bytes()) for p in root.rglob("*.json"))
 
 
 @pytest.mark.parametrize("seed", [1, 3])

@@ -143,6 +143,29 @@ def test_disk_replay_identical_to_live(topology, rng, tmp_path):
     assert warm.stats == live.stats
 
 
+@pytest.mark.parametrize("name", ["mesh2d", "torus2d", "hypercube",
+                                  "hypermesh2d"])
+def test_replay_identical_to_live_at_1024(name, tmp_path):
+    """At 1,024 packets the engine routes on the NumPy core; its recorded
+    plans replay from both tiers exactly as a live run routes."""
+    from repro.sim import PlanCache, route_permutation
+    from repro.sim.task import build_topology
+
+    topology = build_topology(name, 1024)
+    for perm in (bit_reversal(1024),
+                 Permutation.random(1024, np.random.default_rng(99))):
+        live = route_permutation(topology, perm, cache=False)
+        cache = PlanCache(tmp_path)
+        cold = route_permutation(topology, perm, cache=cache)
+        warm = route_permutation(topology, perm, cache=cache)
+        disk = PlanCache(tmp_path)  # cold in-memory tier, warm disk tier
+        replayed = route_permutation(topology, perm, cache=disk)
+        assert (cache.misses, cache.hits, disk.hits) == (1, 1, 1)
+        for result in (cold, warm, replayed):
+            assert result.schedule.steps == live.schedule.steps
+            assert result.stats == live.stats
+
+
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
 def test_next_hop_array_matches_scalar(topology, rng):
     """The engine's batched hop refill relies on next_hop_array answering

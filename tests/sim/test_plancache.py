@@ -291,7 +291,6 @@ class TestDiskTier:
         reader = PlanCache(tmp_path)
         result = route_permutation(mesh, perm, cache=reader)
         assert reader.corrupt == 1 and reader.hits == 0 and reader.misses == 1
-        assert reader.persistent_counters()["corrupt"] == 1
         assert result.schedule.steps == cold.schedule.steps  # routed live
 
     def test_schema_2_list_blob_is_a_plain_miss(self, tmp_path):

@@ -111,8 +111,8 @@ class TestCommands:
         assert "64^2" in out and "300.0 ns" in out
 
     def test_verb_prints_instead_of_writing(self, tmp_path, capsys):
-        """results/paper/ holds the smoke renders; a full-profile alias
-        must not overwrite them."""
+        """results/paper/full/ holds the committed full renders; an alias
+        prints instead of rewriting them."""
         assert main(["shapes"]) == 0
         assert "wrote" not in capsys.readouterr().out
         assert not (tmp_path / "results" / "paper").exists()
@@ -187,13 +187,13 @@ class TestPaperCommand:
     def test_list(self, capsys):
         assert main(["paper", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "table-1a" in out and "bench-trajectories" in out
+        assert "table-1a" in out and "comm-avoiding" in out
 
     def test_run_writes_tables(self, tmp_path, capsys):
         assert self._run(tmp_path) == 0
         out = capsys.readouterr().out
         assert "wrote" in out and "cache hits" in out
-        tables = tmp_path / "paper" / "table-1a" / "tables"
+        tables = tmp_path / "paper" / "smoke" / "table-1a" / "tables"
         assert (tables / "table-1a.json").exists()
         assert "Table 1A" in (tables / "table-1a.md").read_text()
 
@@ -371,7 +371,7 @@ class TestCampaignCommands:
         out = capsys.readouterr().out
         assert "ok: 8  failed: 0" in out and "to run on resume: 0" in out
 
-        report_path = tmp_path / "BENCH_small.json"
+        report_path = tmp_path / "report.json"
         assert main(["campaign", "report", "engine-sweep-small",
                      "--store", store, "--output", str(report_path)]) == 0
         import json
