@@ -180,8 +180,9 @@ def _resolved(topology, fault_model):
 
 
 def _distances(topology, src, dst, resolved) -> np.ndarray:
-    """Per-packet hop distances (under structural faults, read from the
-    surviving graph's batched BFS table).  Raises
+    """Per-packet int64 hop distances (under structural faults, gathered
+    from the surviving graph's narrow batched BFS table and widened, so
+    every floor is computed on int64).  Raises
     :class:`~repro.faults.UnroutableError` when a demand's endpoints are
     disconnected (its bound would be infinite)."""
     from ..faults.model import UnroutableError
@@ -201,7 +202,7 @@ def _distances(topology, src, dst, resolved) -> np.ndarray:
             f"no surviving path from {int(src[pid])} to {int(dst[pid])}: "
             "the step lower bound is infinite"
         )
-    return hops
+    return hops.astype(np.int64)
 
 
 def _is_hypergraph(topology) -> bool:

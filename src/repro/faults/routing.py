@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..networks.base import ChannelModel, HypergraphTopology, Topology
+from ..networks.degraded import _csr_gather
 from .model import FaultModel, ResolvedFaults, UnroutableError, resolve_faults
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -152,17 +153,6 @@ class FaultAwareRouter:
         """Whether ``u -> v`` is one surviving step (adjacency probe)."""
         return v in self._graph.adjacency[u]
 
-    def prepare_dests(self, dests) -> None:
-        """Warm the BFS tables for every destination in one batched sweep.
-
-        The structure-of-arrays core calls this once before a faulted loop
-        so no per-step ``next_hop_array`` call ever triggers an
-        incremental (single-destination) BFS; the scalar path benefits
-        too, since :meth:`_distances` reads the same shared cache.
-        """
-        if self._structural:
-            self._graph.dest_table(np.asarray(dests, dtype=np.int64))
-
     def _next_hop_array_detoured(self, current, dest) -> np.ndarray:
         """Vector :meth:`next_hop`: minimal detours, elementwise.
 
@@ -172,73 +162,55 @@ class FaultAwareRouter:
         the exact neighbour the scalar adjacency scan returns, because CSR
         rows preserve that ascending order.  Equal ``(current, dest)``
         pairs pass through unchanged, matching the base routers'
-        ``next_hop_array`` contract.
+        ``next_hop_array`` contract.  A doomed pair raises the scalar
+        method's error for the first such pair.
+
+        Reads the distance table :meth:`check_routable` warmed for every
+        destination of the job; only a destination it never saw costs a
+        BFS here.
         """
         cur = np.asarray(current, dtype=np.int64)
         dst = np.asarray(dest, dtype=np.int64)
-        faults = self._faults
-        if self._down_nodes_arr is not None:
-            # kind="table" skips np.unique (which imports numpy.ma on
-            # NumPy 2.x); the table spans at most the node ids.
-            dst_down = np.isin(dst, self._down_nodes_arr, kind="table")
-            cur_down = np.isin(cur, self._down_nodes_arr, kind="table")
-            bad = dst_down | cur_down
-            if bad.any():
-                i = int(np.argmax(bad))  # scalar check order per packet
-                if dst_down[i]:
-                    raise UnroutableError(
-                        f"destination {int(dst[i])} is a failed node"
-                    )
-                raise UnroutableError(
-                    f"packet at failed node {int(cur[i])} cannot move"
-                )
         graph = self._graph
-        table, dest_row = graph.dest_table(dst)
-        di = dest_row[dst]
+        di = graph.dest_row[dst]
+        if (di < 0).any():
+            graph.dest_table(dst)
+            di = graph.dest_row[dst]
+        table = graph.table
         here = table[di, cur]
-        out = cur.copy()
-        active = np.flatnonzero(cur != dst)
-        if active.size == 0:
-            return out
-        cur_a = cur[active]
-        di_a = di[active]
-        here_a = here[active]
-        if (here_a < 0).any():
-            i = int(np.argmax(here_a < 0))
-            raise UnroutableError(
-                f"destination {int(dst[active[i]])} unreachable from "
-                f"{int(cur_a[i])}: faults partition the network"
-            )
-        tgt = here_a - 1
+        if (here < 0).any():
+            # A down endpoint is cut off from every other node, so -1
+            # covers the scalar method's three checks; keep their order.
+            i = int(np.argmax(here < 0))
+            self.next_hop(int(cur[i]), int(dst[i]))  # raises the message
+        # Equal pairs sit at distance 0 and keep the base's passthrough.
+        tgt = here - 1
         base_hops = np.asarray(
-            self._base.next_hop_array(cur_a, dst[active]), dtype=np.int64
+            self._base.next_hop_array(cur, dst), dtype=np.int64
         )
-        base_ok = (table[di_a, base_hops] == tgt) & graph.edges_alive(
-            cur_a, base_hops
+        base_ok = (here == 0) | (
+            (table[di, base_hops] == tgt) & graph.edges_alive(cur, base_hops)
         )
+        if base_ok.all():
+            return base_hops
         hops = np.where(base_ok, base_hops, np.int64(-1))
         rest = np.flatnonzero(~base_ok)
-        if rest.size:
-            from ..networks.degraded import _csr_gather
-
-            rows, nbrs = _csr_gather(graph.indptr, graph.indices, cur_a[rest])
-            good = table[di_a[rest][rows], nbrs] == tgt[rest][rows]
-            sel_rows = rows[good]
-            sel_nbrs = nbrs[good]
-            # First qualifying neighbour per row: ``rows`` is
-            # non-decreasing, so the first entry of each run is the first
-            # (ascending) neighbour — the scalar scan's pick.
-            first = np.ones(sel_rows.shape[0], dtype=bool)
-            first[1:] = sel_rows[1:] != sel_rows[:-1]
-            hops[rest[sel_rows[first]]] = sel_nbrs[first]
-            if (hops[rest] < 0).any():  # pragma: no cover - dist>0 => a hop
-                i = int(np.argmax(hops[rest] < 0))
-                raise UnroutableError(
-                    f"no surviving hop from {int(cur_a[rest[i]])} toward "
-                    f"{int(dst[active[rest[i]]])}"
-                )
-        out[active] = hops
-        return out
+        rows, nbrs = _csr_gather(graph.indptr, graph.indices, cur[rest])
+        at = rest[rows]
+        good = table[di[at], nbrs] == tgt[at]
+        sel_rows = rows[good]
+        # First qualifying neighbour per row: ``rows`` is non-decreasing,
+        # so the first entry of each run is the first (ascending)
+        # neighbour — the scalar scan's pick.
+        first = np.ones(sel_rows.shape[0], dtype=bool)
+        first[1:] = sel_rows[1:] != sel_rows[:-1]
+        hops[rest[sel_rows[first]]] = nbrs[good][first]
+        if (hops[rest] < 0).any():  # pragma: no cover - dist>0 => a hop
+            i = int(rest[np.argmax(hops[rest] < 0)])
+            raise UnroutableError(
+                f"no surviving hop from {int(cur[i])} toward {int(dst[i])}"
+            )
+        return hops
 
     # ----------------------------------------------------------- hypergraph
     def shared_net(self, node_a: int, node_b: int) -> int | None:

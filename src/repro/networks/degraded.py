@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -227,63 +227,69 @@ def _csr_gather(
 def batched_surviving_distances(
     indptr: np.ndarray, indices: np.ndarray, dests: Sequence[int]
 ) -> np.ndarray:
-    """BFS hop counts to every destination at once: a ``(D, n)`` matrix.
+    """BFS hop counts to every destination at once: a C-contiguous
+    ``(D, n)`` matrix in the narrowest signed type holding its values.
 
     Row ``k`` equals ``surviving_distances(adjacency, dests[k])`` exactly
     (-1 where unreachable); the adjacency must be undirected, as every
     surviving graph is.  This is a bit-parallel multi-source BFS: search
     ``k`` owns bit ``k % 64`` of word ``k // 64`` in per-node ``uint64``
-    bitsets, so one level of all D searches is one gather of the frontier
-    over the CSR entries and one ``bitwise_or.reduceat`` per row.  Levels
-    are not scattered as they are found: each newly reached bit is OR-ed
-    into the bit planes of its level number, and the planes are unpacked
-    and summed once at the end.
+    bitsets, so one level of all D searches is a gather-and-OR of the
+    frontier per slot of a padded ``(maxdeg, n)`` neighbour matrix whose
+    empty slots point at the all-zero frontier row ``n``.  Each newly
+    reached bit is OR-ed into the bit planes of its level number, and the
+    planes are unpacked and summed once at the end.
     """
     n = indptr.shape[0] - 1
     dest_arr = np.asarray(dests, dtype=np.int64)
     d = dest_arr.shape[0]
     words = (d + 63) // 64
     k = np.arange(d, dtype=np.int64)
-    frontier = np.zeros((n, words), dtype=np.uint64)
+    frontier = np.zeros((n + 1, words), dtype=np.uint64)
     bits = np.uint64(1) << (k & 63).astype(np.uint64)
     np.bitwise_or.at(frontier, (dest_arr, k >> 6), bits)
-    visited = frontier.copy()
-    # ``reduceat`` yields the first element, not the identity, for an empty
-    # segment, so the sweep runs over the non-empty rows only.  Down nodes
-    # have empty rows and no row lists them, so they never join a frontier.
-    live = np.flatnonzero(np.diff(indptr))
-    rows = slice(None) if live.size == n else live
-    starts = indptr[live]
+    unvisited = ~frontier[:n]
+    # Down nodes have empty rows and no row lists them: never reached.
+    deg = np.diff(indptr)
+    nbrs = np.full((max(int(deg.max(initial=0)), 1), n), n, dtype=np.int64)
+    nbrs[np.arange(indices.shape[0]) - np.repeat(indptr[:-1], deg),
+         np.repeat(np.arange(n), deg)] = indices
+    spare = np.zeros_like(frontier)  # swapped each level; row n stays 0
+    gathered = np.empty((n, words), dtype=np.uint64)
     planes: list[np.ndarray] = []
-    level = 0
-    while live.size:
-        level += 1
-        new = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
-        new &= ~visited[rows]
+    for level in count(1):
+        # mode="clip" (a no-op on these indices) keeps take's out unbuffered.
+        new = np.take(frontier, nbrs[0], axis=0, out=spare[:n], mode="clip")
+        for slot in nbrs[1:]:
+            new |= np.take(frontier, slot, axis=0, out=gathered, mode="clip")
+        new &= unvisited
         if not new.any():
             break
-        visited[rows] |= new
-        frontier[rows] = new
+        unvisited ^= new
+        frontier, spare = spare, frontier
         if level == 1 << len(planes):
-            planes.append(np.zeros_like(visited))
+            planes.append(np.zeros_like(new))
         for bit, plane in enumerate(planes):
             if level >> bit & 1:
-                plane[rows] |= new
-    # The narrowest signed type that holds -1 and every level seen; start
-    # from 0 where reached and -1 where not, then OR in the level bits.
+                plane |= new
+    # -1 where unreached, else the sum of the plane weights, per node block.
     narrow = np.min_scalar_type(-(1 << len(planes)))
-    hops = _unpack(visited, d).astype(narrow)
-    hops -= 1
-    for bit, plane in enumerate(planes):
-        hops |= np.left_shift(_unpack(plane, d), bit, dtype=narrow)
-    return hops.T.astype(np.int64, order="C")
+    hops = np.empty((d, n), dtype=narrow)
+    for lo in range(0, n, 256):
+        rows = slice(lo, lo + 256)
+        block = _unpack(~unvisited[rows], d).astype(narrow) - 1
+        for bit, plane in enumerate(planes):
+            block += _unpack(plane[rows], d) * narrow.type(1 << bit)
+        hops[:, rows] = block.T
+    return hops
 
 
-def _unpack(bitset: np.ndarray, count: int) -> np.ndarray:
-    """``(rows, count)`` uint8 0/1 matrix of a ``(rows, words)`` bitset:
+def _unpack(bitset: np.ndarray, width: int) -> np.ndarray:
+    """``(rows, width)`` int8 0/1 matrix of a ``(rows, words)`` bitset:
     column ``k`` is bit ``k % 64`` of word ``k // 64``."""
     as_bytes = bitset.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, count=count, bitorder="little")
+    bits = np.unpackbits(as_bytes, axis=1, count=width, bitorder="little")
+    return bits.view(np.int8)
 
 
 class SurvivingGraph:
@@ -297,8 +303,9 @@ class SurvivingGraph:
 
     Two distance representations coexist, both derived from the same BFS
     and therefore always equal: per-destination Python lists for the
-    scalar router path (``dist[current]`` stays a native int) and a
-    destination-indexed int64 matrix for the vectorized path.
+    scalar router path (``dist[current]`` stays a native int) and
+    ``table[dest_row[d], u]``, a narrow destination-indexed matrix, for
+    the vectorized path (``dest_row[d]`` is -1 until ``d`` is BFS'd).
     """
 
     def __init__(self, topology: Topology, faults: "ResolvedFaults"):
@@ -308,9 +315,11 @@ class SurvivingGraph:
         #: membership probes; the CSR image is derived from them.
         self.edge_codes = _surviving_edge_codes(topology, faults)
         self.indptr, self.indices = _csr_of_codes(self.edge_codes, n)
+        # The codes plus a sentinel above every code: probes stay in bounds.
+        self._probe = np.append(self.edge_codes, np.int64(n) * n)
         self._dist_lists: dict[int, list[int]] = {}
-        self._table: np.ndarray | None = None
-        self._dest_row = np.full(n, -1, dtype=np.int64)
+        self.table: np.ndarray | None = None
+        self.dest_row = np.full(n, -1, dtype=np.int64)
 
     @cached_property
     def adjacency(self) -> list[tuple[int, ...]]:
@@ -324,8 +333,8 @@ class SurvivingGraph:
         """``surviving_distances`` to ``dest`` as a list, memoized."""
         dist = self._dist_lists.get(dest)
         if dist is None:
-            if self._dest_row[dest] >= 0:
-                dist = self._table[self._dest_row[dest]].tolist()
+            if self.dest_row[dest] >= 0:
+                dist = self.table[self.dest_row[dest]].tolist()
             else:
                 dist = surviving_distances(self.adjacency, dest)
             self._dist_lists[dest] = dist
@@ -336,38 +345,25 @@ class SurvivingGraph:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(table, dest_row)`` covering every destination in ``dests``.
 
-        ``table[dest_row[d], u]`` is the surviving distance from ``u`` to
-        ``d``; missing destinations are BFS'd in one bit-parallel batch
-        and appended.  Both arrays are shared (cached) across calls.
+        Missing destinations are BFS'd in one bit-parallel batch and
+        appended.  Both arrays are shared (cached) across calls.
         """
-        # Sorted distinct destinations by boolean scatter: np.unique's
-        # sort is O(k log k), and on NumPy 2.x it also imports numpy.ma.
+        # Sorted distinct missing destinations by boolean scatter: np.unique
+        # sorts in O(k log k), and on NumPy 2.x it also imports numpy.ma.
         seen = np.zeros(self.num_nodes, dtype=bool)
         seen[np.asarray(dests, dtype=np.int64)] = True
-        dests = np.flatnonzero(seen)
-        missing = dests[self._dest_row[dests] < 0]
+        missing = np.flatnonzero(seen & (self.dest_row < 0))
         if missing.size:
             block = batched_surviving_distances(
                 self.indptr, self.indices, missing
             )
-            base = 0 if self._table is None else self._table.shape[0]
-            self._dest_row[missing] = np.arange(
-                base, base + missing.size, dtype=np.int64
-            )
-            self._table = (
-                block if self._table is None
-                else np.vstack((self._table, block))
-            )
-        return self._table, self._dest_row
+            rows = 0 if self.table is None else self.table.shape[0]
+            self.dest_row[missing] = np.arange(rows, rows + missing.size)
+            self.table = block if not rows else np.vstack((self.table, block))
+        return self.table, self.dest_row
 
     # ---------------------------------------------------------- membership
     def edges_alive(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Elementwise: is ``u[i] -> v[i]`` one surviving step?"""
-        if self.edge_codes.shape[0] == 0:
-            return np.zeros(u.shape[0], dtype=bool)
         codes = u * np.int64(self.num_nodes) + v
-        pos = np.searchsorted(self.edge_codes, codes)
-        pos_clipped = np.minimum(pos, self.edge_codes.shape[0] - 1)
-        return (pos < self.edge_codes.shape[0]) & (
-            self.edge_codes[pos_clipped] == codes
-        )
+        return self._probe[np.searchsorted(self._probe, codes)] == codes

@@ -286,8 +286,6 @@ def numpy_route_core(
     if fault_model is not None:
         attempts = np.zeros(npk, dtype=np.int64)
         retry_limit = fault_model.retry_limit
-        if next_hop_array is not None:
-            router.prepare_dests(dest[order])
 
     stats = RoutingStats()
     delivered = npk - in_flight

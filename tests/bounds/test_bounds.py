@@ -9,7 +9,9 @@ end to end (routed and staged tasks, and the ``repro certify`` CLI alike).
 """
 
 import gc
+import math
 
+import numpy as np
 import pytest
 
 from repro.algos.hypersystolic import run_commavoiding_task
@@ -26,13 +28,14 @@ from repro.bounds import (
 )
 from repro.bounds import core
 from repro.cli import main
-from repro.faults import FaultModel, UnroutableError
+from repro.faults import FaultModel, UnroutableError, resolve_faults
 from repro.fft.ape import run_ape_fft_task
 from repro.networks import Hypercube, Hypermesh2D, Mesh, Mesh2D, Torus2D
+from repro.networks.degraded import surviving_adjacency, surviving_distances
 from repro.routing import Permutation, bit_reversal
 from repro.sim.engine import route_demands, route_permutation
 from repro.sim.machine import Compute, Permute
-from repro.sim.task import run_routing_task
+from repro.sim.task import build_workload, run_routing_task
 
 FAMILIES = {
     "mesh2d": lambda: Mesh2D(4),
@@ -143,6 +146,36 @@ class TestFaultAwareness:
             UnroutableError, match=r"^no surviving path from 0 to 9: "
         ):
             step_lower_bound(topo, demands, fault_model=model)
+
+    @pytest.mark.parametrize("dropped", [0, 7])
+    def test_narrow_table_floors_equal_the_scalar_bfs_floors(self, dropped):
+        # N=1,024 with 5 % of links down: every distance fits the int8
+        # table, but their sum is far above 127, so the floors are taken
+        # on int64 distances.
+        topo = Mesh2D(32)
+        model = FaultModel(link_fail_fraction=0.05, seed=3)
+        demands = list(zip(*build_workload("dense-permutation", 1024, 5)))
+        bound, witness = step_lower_bound(
+            topo, demands, fault_model=model, dropped=dropped
+        )
+        resolved = resolve_faults(model, topo)
+        assert resolved.surviving_graph(topo).table.dtype == np.int8
+        moving = np.array([(s, d) for s, d in demands if s != d])
+        assert core._distances(
+            topo, moving[:, 0], moving[:, 1], resolved
+        ).dtype == np.int64
+        adjacency = surviving_adjacency(topo, resolved)
+        dists = sorted(
+            surviving_distances(adjacency, d)[s] for s, d in moving.tolist()
+        )[: len(moving) - dropped]
+        assert witness["max_distance"] == dists[-1]
+        assert witness["total_distance"] == sum(dists) > 100 * 127
+        kinds = witness["kinds"]
+        assert kinds["distance"] == dists[-1]
+        assert kinds["work"] == math.ceil(
+            sum(dists) / witness["total_capacity"]
+        )
+        assert bound == max(kinds.values())
 
     def test_degrading_a_net_tightens_the_hypermesh(self):
         topo = Hypermesh2D(2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.faults import (
@@ -10,7 +11,7 @@ from repro.faults import (
     fault_aware_router,
     resolve_faults,
 )
-from repro.networks import Hypermesh2D, Mesh2D
+from repro.networks import Hypercube, Hypermesh2D, Mesh2D, Torus2D
 from repro.networks.degraded import (
     components_under,
     surviving_adjacency,
@@ -65,6 +66,74 @@ class TestDetours:
         far = fault_aware_router(topo, FaultModel(drop_prob=0.5))
         for src, dst in [(0, 15), (3, 12), (7, 8)]:
             assert route_path(far, src, dst) == route_path(base, src, dst)
+
+
+#: (topology factory, fault model) of the vector-vs-scalar hop test:
+#: random link faults on each point-to-point family (on the torus they
+#: cut a node off), down nodes, and down hypermesh nets (which cut a node
+#: off too).
+VECTOR_CASES = {
+    "mesh2d-links": (lambda: Mesh2D(8),
+                     FaultModel(link_fail_fraction=0.15, seed=4)),
+    "torus2d-links": (lambda: Torus2D(8),
+                      FaultModel(link_fail_fraction=0.15, seed=4)),
+    "hypercube-links": (lambda: Hypercube(6),
+                        FaultModel(link_fail_fraction=0.15, seed=4)),
+    "mesh2d-nodes": (lambda: Mesh2D(8),
+                     FaultModel(node_failures={9, 36},
+                                link_fail_fraction=0.05, seed=2)),
+    "hypermesh2d-nets": (lambda: Hypermesh2D(8),
+                         FaultModel(net_failures={1, 10})),
+}
+
+
+class TestVectorHops:
+    @pytest.mark.parametrize("case", sorted(VECTOR_CASES))
+    def test_next_hop_array_equals_scalar_next_hop(self, case):
+        """Every ``(cur, dst)`` pair, equal pairs included: the vector
+        hop equals the scalar one (``None`` reads as ``cur``), and a
+        doomed pair raises the scalar message, alone or first in a batch.
+        """
+        make, model = VECTOR_CASES[case]
+        # Two topology objects resolve to two fault sets and two surviving
+        # graphs, so the scalar oracle's BFS never warms the vector table.
+        scalar = fault_aware_router(make(), model)
+        topo = make()
+        vector = fault_aware_router(topo, model)
+        assert vector.faults.down_links == scalar.faults.down_links
+        n = topo.num_nodes
+        cur, dst = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        expected, errors = [], {}
+        for i, (c, d) in enumerate(zip(cur.tolist(), dst.tolist())):
+            try:
+                hop = scalar.next_hop(c, d)
+            except UnroutableError as exc:
+                errors[i] = str(exc)
+                hop = -1
+            expected.append(c if hop is None else hop)
+        ok = np.ones(n * n, dtype=bool)
+        ok[list(errors)] = False
+        graph = vector.faults.surviving_graph(topo)
+        assert graph.table is None  # no destination warmed yet
+        got = vector.next_hop_array(cur[ok], dst[ok])
+        assert got.tolist() == np.asarray(expected)[ok].tolist()
+        # Warm now: a second pass reads the table without a new BFS.
+        table = graph.table
+        again = vector.next_hop_array(cur[ok][::-1], dst[ok][::-1])
+        assert again.tolist() == got.tolist()[::-1]
+        assert graph.table is table
+        for i, message in errors.items():
+            with pytest.raises(UnroutableError) as raised:
+                vector.next_hop_array(cur[i:i + 1], dst[i:i + 1])
+            assert str(raised.value) == message
+        if errors:
+            with pytest.raises(UnroutableError) as raised:
+                vector.next_hop_array(cur, dst)
+            assert str(raised.value) == errors[min(errors)]
+        if case == "mesh2d-nodes":
+            assert {"destination 9 is a failed node",
+                    "packet at failed node 9 cannot move"} <= set(
+                        errors.values())
 
 
 class TestCheckRoutable:

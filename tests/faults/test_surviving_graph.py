@@ -5,8 +5,8 @@ Three contracts live here:
 * :func:`~repro.networks.degraded.batched_surviving_distances` (a
   bit-parallel multi-source BFS over CSR adjacency) equals the scalar
   per-destination BFS in :func:`~repro.networks.degraded.surviving_distances`
-  for every destination, and its transient memory stays a small multiple
-  of the table it returns;
+  for every destination, in the narrowest signed type, and its transient
+  memory stays a small multiple of the table it returns;
 * :class:`~repro.faults.ResolvedFaults` caches one
   :class:`~repro.networks.degraded.SurvivingGraph` per topology, and
   :func:`~repro.faults.resolve_faults` memoizes per ``(topology, model)`` —
@@ -93,9 +93,13 @@ class TestBatchedBfs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The bitsets are n*D/8 bytes each; only the int64 output is big.
-        assert table.nbytes == 8 * 1024 * 1024
-        assert peak < 3 * table.nbytes
+        # Levels stop at 10 here: 4 bit planes, so the narrowest signed
+        # type is int8 and the table is n*D bytes.
+        assert table.dtype == np.int8
+        assert table.dtype == np.min_scalar_type(-(int(table.max()) + 1))
+        # The bitsets are n*D/8 bytes each; an int64 table alone would be
+        # 8 MiB.
+        assert peak < 4 * 1024 * 1024
 
 
 class TestStructureCaching:

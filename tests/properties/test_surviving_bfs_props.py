@@ -13,7 +13,8 @@ faulted bounds read, so each of its rows must equal the scalar deque BFS
 * a disconnected graph;
 * a path long enough (> 255 levels) to need nine bit planes.
 
-The table is always int64, ``(D, n)`` and C-contiguous.
+The table is ``(D, n)``, C-contiguous, and in the narrowest signed type
+that holds -1 and its deepest level.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _assert_matches_oracle(adjacency, dests) -> None:
     table = batched_surviving_distances(
         indptr, indices, np.asarray(dests, dtype=np.int64)
     )
-    assert table.dtype == np.int64
+    assert table.dtype == np.min_scalar_type(-(int(table.max(initial=0)) + 1))
     assert table.shape == (len(dests), len(adjacency))
     assert table.flags.c_contiguous
     for row, dest in zip(table, dests):
