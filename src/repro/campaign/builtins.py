@@ -20,15 +20,8 @@ ENGINE_SWEEP_WORKLOADS = ("dense-permutation", "bit-reversal", "sparse-hrelation
 
 
 def _engine_sweep() -> CampaignSpec:
-    """3 topologies x 4 sizes x 3 workloads x 2 backends = 72 routing tasks
-    (the PR 1 engine sweep, recast as a campaign grid).
-
-    The ``backend`` axis runs every cell on both the indexed and the
-    structure-of-arrays cores; the two halves of the grid must report
-    identical step counts (the backends are bit-identical by contract), so
-    the sweep doubles as a coarse cross-backend consistency check at
-    campaign scale.
-    """
+    """3 topologies x 4 sizes x 3 workloads = 36 routing tasks (the
+    engine sweep, recast as a campaign grid)."""
     return CampaignSpec.from_grid(
         "engine-sweep",
         "repro.sim.task:run_routing_task",
@@ -36,12 +29,11 @@ def _engine_sweep() -> CampaignSpec:
             "topology": list(ENGINE_SWEEP_TOPOLOGIES),
             "n": list(ENGINE_SWEEP_SIZES),
             "workload": list(ENGINE_SWEEP_WORKLOADS),
-            "backend": ["indexed", "numpy"],
         },
         base={"seed": 99, "arbitration": "overtaking"},
         meta={
             "description": "word-level routing engine sweep "
-            "(topology x N x workload x backend), fixed seeds",
+            "(topology x N x workload), fixed seeds",
         },
     )
 
@@ -145,13 +137,9 @@ def _comm_avoiding() -> CampaignSpec:
 CHAOS_SWEEP_FRACTIONS = (0.0, 0.05, 0.1, 0.2)
 
 
-#: Engine cores for the chaos sweep's backend axis.
-CHAOS_SWEEP_BACKENDS = ("indexed", "numpy")
-
-
 def _chaos_sweep() -> CampaignSpec:
     """Degraded-mode grid: 3 topologies x 2 sizes x 4 link-fail fractions
-    x 2 degraded backends (plus the hypermesh degraded-net column).
+    (plus the hypermesh degraded-net column) = 30 routing tasks.
 
     Each cell routes the fixed dense permutation through a machine with a
     seeded fraction of its links failed (``fault.seed`` fixed at 99, so the
@@ -160,66 +148,55 @@ def _chaos_sweep() -> CampaignSpec:
     task — the interesting output of this sweep *is* where routing stops
     being possible.  The hypermesh column uses degraded nets instead of
     link fractions (hypergraph networks have nets, not links): net 0
-    serialized, then nets 0+1.  The ``backend`` axis runs every faulted
-    cell on both the indexed and the structure-of-arrays cores; the two
-    halves of the grid must report identical step counts (the cores are
-    bit-identical on faulted jobs by contract), so the sweep doubles
-    as a cross-backend consistency check at campaign scale.
+    serialized, then nets 0+1.
     """
     tasks = []
-    for backend in CHAOS_SWEEP_BACKENDS:
-        for topology in ("mesh2d", "torus2d", "hypercube"):
-            for n in (64, 256):
-                for frac in CHAOS_SWEEP_FRACTIONS:
-                    fault = (
-                        {"seed": 99, "link_fail_fraction": frac}
-                        if frac else {}
-                    )
-                    tasks.append(
-                        TaskSpec(
-                            entry="repro.sim.task:run_routing_task",
-                            params={
-                                "topology": topology,
-                                "n": n,
-                                "workload": "dense-permutation",
-                                "seed": 99,
-                                "arbitration": "overtaking",
-                                "backend": backend,
-                                "allow_unroutable": True,
-                                **({"fault": fault} if fault else {}),
-                            },
-                            label=f"{topology}-n{n}-frac{frac}-{backend}",
-                        )
-                    )
+    for topology in ("mesh2d", "torus2d", "hypercube"):
         for n in (64, 256):
-            for degraded in ((), (0,), (0, 1)):
-                fault = {"seed": 99, "degraded_nets": list(degraded)}
+            for frac in CHAOS_SWEEP_FRACTIONS:
+                fault = (
+                    {"seed": 99, "link_fail_fraction": frac}
+                    if frac else {}
+                )
                 tasks.append(
                     TaskSpec(
                         entry="repro.sim.task:run_routing_task",
                         params={
-                            "topology": "hypermesh2d",
+                            "topology": topology,
                             "n": n,
                             "workload": "dense-permutation",
                             "seed": 99,
                             "arbitration": "overtaking",
-                            "backend": backend,
                             "allow_unroutable": True,
-                            **({"fault": fault} if degraded else {}),
+                            **({"fault": fault} if fault else {}),
                         },
-                        label=(
-                            f"hypermesh2d-n{n}-degraded{len(degraded)}"
-                            f"-{backend}"
-                        ),
+                        label=f"{topology}-n{n}-frac{frac}",
                     )
                 )
+    for n in (64, 256):
+        for degraded in ((), (0,), (0, 1)):
+            fault = {"seed": 99, "degraded_nets": list(degraded)}
+            tasks.append(
+                TaskSpec(
+                    entry="repro.sim.task:run_routing_task",
+                    params={
+                        "topology": "hypermesh2d",
+                        "n": n,
+                        "workload": "dense-permutation",
+                        "seed": 99,
+                        "arbitration": "overtaking",
+                        "allow_unroutable": True,
+                        **({"fault": fault} if degraded else {}),
+                    },
+                    label=f"hypermesh2d-n{n}-degraded{len(degraded)}",
+                )
+            )
     return CampaignSpec(
         "chaos-sweep",
         tuple(tasks),
         meta={
             "description": "degraded-mode sweep: routing time vs fraction "
-            "of failed links (and degraded hypermesh nets), seeded faults, "
-            "indexed + numpy degraded backends",
+            "of failed links (and degraded hypermesh nets), seeded faults",
         },
     )
 

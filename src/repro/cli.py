@@ -365,16 +365,15 @@ def _cmd_plans_stats(args: argparse.Namespace) -> int:
     docs/OBSERVABILITY.md JSONL format, so dashboards ingest hit rates the
     same way they ingest engine events.
     """
-    from .sim.plancache import PlanCache, process_default
+    from .sim.plancache import PlanCache
 
     if (why := _plans_root_error(args.root)) is not None:
         print(f"error: {why}", file=sys.stderr)
         return 2
     cache = PlanCache(args.root)
-    # The process default (when installed) holds this process's live
-    # traffic; a fresh CLI process reports zeros, which is honest.
-    live = process_default() or cache
-    counters = live.counters()
+    # A fresh CLI process has routed nothing: its traffic counters read
+    # zero, which is honest.
+    counters = cache.counters()
     print(f"{'root:':16s}{cache.root}")
     print(f"{'plans:':16s}{len(cache.disk_blobs())}")
     print(f"{'bytes:':16s}{cache.disk_bytes()}")
@@ -387,7 +386,7 @@ def _cmd_plans_stats(args: argparse.Namespace) -> int:
         from .obs import JsonlTraceFile, Tracer
 
         with Tracer("plans-stats", JsonlTraceFile(args.trace_out)) as tracer:
-            live.emit_counters(tracer)
+            cache.emit_counters(tracer)
         print(f"wrote {args.trace_out}")
     return 0
 

@@ -254,9 +254,9 @@ class FaultModel:
         half of the hash runs in ``uint64`` NumPy, whose wrapping multiply
         is the scalar method's ``& (2**64 - 1)``.  A pure per-packet
         function, so batching cannot reorder or change the draws — which is
-        what lets the structure-of-arrays core settle a whole step's
-        granted transmissions in one call while staying bit-identical to
-        the indexed core's per-move draws.  The degenerate probabilities
+        what lets the engine's structure-of-arrays core settle a whole
+        step's granted transmissions in one call while staying
+        bit-identical to the degraded oracle's per-move draws.  The degenerate probabilities
         (0 and 1) short-circuit to one array fill.
         """
         packets = np.asarray(packets, dtype=np.int64)

@@ -1,7 +1,8 @@
 """Fault observability: adapt the engine's ``on_fault`` hook onto traces.
 
-:class:`FaultEventProbe` turns the degraded engine's raw callback —
-``(kind, step, packet, node, attempts)`` — into the documented
+:class:`FaultEventProbe` turns the engine's raw callback (a
+:data:`~repro.sim.engine.FaultCallback`, fired by its one core on faulted
+runs) — ``(kind, step, packet, node, attempts)`` — into the documented
 ``fault.retry`` / ``fault.drop`` events on a :class:`~repro.obs.Tracer`,
 optionally preceded by one ``fault.config`` event describing the resolved
 fault set.  Attaching a probe forces the run live (a cached replay fires

@@ -1,22 +1,14 @@
 """Word-level synchronous network simulator: schedules, routers, adaptive
 routing engine, and the SIMD compute/communicate machine."""
 
-from .backends import (
-    ENGINE_BACKENDS,
-    NUMPY_MIN_PACKETS,
-    choose_backend,
-    numpy_route_core,
-    resolve_backend,
-)
 from .engine import (
     ARBITRATION_POLICIES,
+    FaultCallback,
     RoutedDemands,
     RoutedPermutation,
-    replay_schedule,
     route_demands,
     route_permutation,
 )
-from .degraded import FaultCallback, route_core_degraded
 from .machine import Compute, Exchange, Permute, ProgramOp, RunResult, SimdMachine
 from .plancache import (
     PlanCache,
@@ -24,7 +16,6 @@ from .plancache import (
     disk_cache,
     memory_cache,
     plan_key,
-    set_process_default,
 )
 from .routers import (
     HypercubeEcubeRouter,
@@ -63,11 +54,6 @@ __all__ = [
     "route_path",
     "router_for",
     "ARBITRATION_POLICIES",
-    "ENGINE_BACKENDS",
-    "NUMPY_MIN_PACKETS",
-    "choose_backend",
-    "resolve_backend",
-    "numpy_route_core",
     "StepTracer",
     "StepRecord",
     "EngineStepProbe",
@@ -76,15 +62,12 @@ __all__ = [
     "RoutedPermutation",
     "route_demands",
     "RoutedDemands",
-    "replay_schedule",
     "FaultCallback",
-    "route_core_degraded",
     "PlanCache",
     "PlanKey",
     "plan_key",
     "memory_cache",
     "disk_cache",
-    "set_process_default",
     "SimdMachine",
     "Exchange",
     "Compute",

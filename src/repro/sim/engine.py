@@ -39,19 +39,38 @@ with the ``arbitration`` keyword:
     behind it never reach a channel), and ``max_queue_depth`` measures
     buffering under strict FIFO service.
 
-Engine internals and the equivalence guarantee
-----------------------------------------------
+The core and the equivalence guarantee
+--------------------------------------
 
-The arbitration loop is indexed rather than scanned: an active-node
-worklist visits only nodes with queued packets, queues are intrusive
-doubly-linked lists giving O(1) grant/dequeue, next hops and hypermesh net
-ids are cached per packet position (routers are pure functions of
-``(current, dest)``, so each is computed once per hop instead of once per
-step), and ``max_queue_depth`` is maintained incrementally.  None of this
-changes behaviour: under the default policy the engine produces
-**bit-identical** schedules and statistics to the seed loop preserved in
-:mod:`repro.sim._reference`, which the equivalence suite asserts on every
-topology family.
+Every job, fault-free or faulted, runs on one arbitration loop,
+:func:`_route_core`: a structure-of-arrays core that holds packet
+positions, destinations, next hops and the queue priority order in flat
+``int64`` arrays and advances whole steps at a time.  None of this changes
+behaviour: the core produces **bit-identical** schedules (step dicts in
+insertion order) and statistics to the two step-loop oracles kept in
+:mod:`repro.sim._reference` — the frozen seed loop (overtaking,
+fault-free) and the degraded loop (both policies; with an empty
+:class:`~repro.faults.model.FaultModel` it is also the fault-free FIFO
+oracle).  The equivalence suites and the differential fuzz harness
+assert this on every topology family; no runtime path imports the
+oracles.
+
+Why the arbitration vectorizes: the reference sweep proposes in priority
+order (node index, then FIFO position) and claims a channel **only when a
+move is granted**.  Under ``"overtaking"`` every queued packet proposes
+exactly once per step, so on point-to-point networks the grant set is
+simply "the first proposal in priority order for each directed link" —
+computable with one stable argsort over link codes.  On hypergraph
+networks a proposal must be first on *two* codes at once (net inject port
+and net deliver port), which a single pass cannot decide: a packet that
+loses one code to an earlier-denied packet may still win.  Iterating
+rounds — grant every remaining proposal that is first on both codes among
+the remaining, deny (and count) the ones that conflict with a grant,
+repeat — reproduces the sequential sweep exactly and terminates because
+the earliest remaining proposal always wins both its codes.  ``"fifo"``
+arbitration is genuinely sequential (a denial silences the rest of that
+node's queue, which can un-deny later channels), so it stays a Python loop
+over the priority-ordered proposals.
 
 Instrumentation: pass ``on_step`` to observe each committed step, and pass
 ``timing=True`` to record host-side per-step wall-clock into
@@ -69,10 +88,9 @@ so both entry points accept a ``cache=`` argument (see
 :class:`~repro.sim.plancache.PlanCache` consult the cache before
 arbitrating and record the schedule after a miss; a hit replays the stored
 steps and counters **bit-identically** (the equivalence suite enforces
-this).  ``cache=False`` forces live routing even when a process-wide
-default is installed via
-:func:`~repro.sim.plancache.set_process_default`; runs with ``on_step`` or
-``timing`` instrumentation always route live (counted as ``bypassed``).
+this).  ``cache=None`` (the default) and ``cache=False`` route live; runs
+with ``on_step`` or ``timing`` instrumentation always route live (counted
+as ``bypassed``).
 
 Fault injection
 ---------------
@@ -81,15 +99,12 @@ Both entry points accept ``fault_model=`` (a
 :class:`~repro.faults.model.FaultModel`).  A model with nothing enabled is
 contractually a **no-op**: the engine takes the fault-free path above and
 output is bit-identical to passing no model (the fuzz suite enforces
-this).  An enabled model is handed to the picked core (``"indexed"``
-runs :func:`~repro.sim.degraded.route_core_degraded`, ``"numpy"`` the
-same structure-of-arrays core as fault-free jobs; bit-identical by
-contract) — minimal detours around dead links/nodes/nets, serialized
-sub-transfers on degraded hypermesh nets, and retry/drop semantics with
-``dropped`` / ``retried`` accounting on :class:`RoutingStats` (observable
-per event via ``on_fault``).  The fault configuration is folded into the
-plan-cache key, so a faulted run can never replay a fault-free plan or
-vice versa; runs
+this).  An enabled model rides along to the same core — minimal detours
+around dead links/nodes/nets, serialized sub-transfers on degraded
+hypermesh nets, and retry/drop semantics with ``dropped`` / ``retried``
+accounting on :class:`RoutingStats` (observable per event via
+``on_fault``).  The fault configuration is folded into the plan-cache key,
+so a faulted run can never replay a fault-free plan or vice versa; runs
 carrying an ``on_fault`` hook route live (counted as ``fault_bypassed``).
 See docs/FAULTS.md for the full semantics.
 """
@@ -103,16 +118,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..faults.model import FaultModel
+from ..faults.routing import FaultAwareRouter
 from ..networks.base import ChannelModel, HypergraphTopology, Topology
 from ..routing.permutation import Permutation
 from . import plancache as _plancache
-from .backends import (
-    ARBITRATION_POLICIES,
-    _check_arbitration,
-    choose_backend,
-    resolve_backend,
-)
-from .degraded import FaultCallback, route_core_degraded
 from .routers import Router, router_for
 from .schedule import CommSchedule, ScheduleError
 from .stats import RoutingStats
@@ -120,26 +129,30 @@ from .stats import RoutingStats
 __all__ = [
     "ARBITRATION_POLICIES",
     "StepCallback",
+    "FaultCallback",
     "RoutedPermutation",
     "RoutedDemands",
     "route_permutation",
     "route_demands",
-    "replay_schedule",
 ]
 
-#: Smallest batch worth handing to ``Router.next_hop_array``: below this,
-#: NumPy's fixed per-call overhead loses to scalar next-hop computation.
-_VECTOR_REFILL_MIN = 64
-
-#: Queue depth at which the engine abandons compact list queues: past this,
-#: ``list.remove`` degrades toward the seed loop's O(depth) scans and the
-#: intrusive linked lists win.
-_COMPACT_MAX_DEPTH = 8
+#: Channel-arbitration disciplines accepted by the engine.
+ARBITRATION_POLICIES = ("overtaking", "fifo")
 
 #: Signature of the ``on_step`` instrumentation hook: called after each
 #: committed step with ``(step_index, moves, stats)``.  ``moves`` is the
 #: engine's live step record — treat it as read-only.
 StepCallback = Callable[[int, Mapping[int, int], RoutingStats], None]
+
+#: Signature of the ``on_fault`` hook: ``(kind, step, packet, node,
+#: attempts)`` where ``kind`` is ``"retry"`` or ``"drop"``, ``node`` is the
+#: packet's position when the transmission failed, and ``attempts`` is its
+#: cumulative failed-transmission count.
+FaultCallback = Callable[[str, int, int, int, int], None]
+
+#: ``next_hop`` returned ``None`` for a queued packet (the router considers
+#: it home): mirror the reference sweep's skip-forever.
+_NO_HOP = -2
 
 
 def _degraded_max_steps(
@@ -197,6 +210,56 @@ class RoutedDemands:
     stats: RoutingStats
 
 
+def _check_arbitration(arbitration: str) -> None:
+    """Raise the engine's named :class:`ValueError` for an unknown policy."""
+    if arbitration not in ARBITRATION_POLICIES:
+        raise ValueError(
+            f"unknown arbitration policy {arbitration!r}; "
+            f"expected one of {ARBITRATION_POLICIES}"
+        )
+
+
+def _first_claim_wins(codes: np.ndarray) -> np.ndarray:
+    """Grant mask over priority-ordered channel codes: first claim wins.
+
+    ``codes[i]`` is the channel the ``i``-th proposal (in priority order)
+    wants; the mask is ``True`` exactly where a proposal is the first for
+    its channel.  The stable mergesort keeps equal codes in priority order,
+    so "first in the sorted run" is "first proposed".
+    """
+    m = codes.shape[0]
+    perm = np.argsort(codes, kind="mergesort")
+    ranked = codes[perm]
+    first = np.ones(m, dtype=np.bool_)
+    first[1:] = ranked[1:] != ranked[:-1]
+    mask = np.zeros(m, dtype=np.bool_)
+    mask[perm] = first
+    return mask
+
+
+def _claimed(codes: np.ndarray, granted: np.ndarray) -> np.ndarray:
+    """Elementwise: is ``codes[i]`` one of the (non-empty) ``granted``
+    codes?  ``np.isin``'s mask by binary search over the sorted grants:
+    ``np.isin`` itself sorts through ``np.unique`` (which on NumPy 2.x
+    imports ``numpy.ma``, a cost a forked service worker repays per job),
+    and its ``kind="table"`` allocates one byte per code in the grants'
+    range — up to ``nets × n``, 8 MB on an 8^4 hypermesh."""
+    ranked = np.sort(granted)
+    at = np.minimum(np.searchsorted(ranked, codes), ranked.size - 1)
+    return ranked[at] == codes
+
+
+def _step_moves(
+    ints: list[int], pids: np.ndarray, hops: np.ndarray
+) -> dict[int, int]:
+    """One step's ``{packet: hop}`` dict, keyed and valued by the run's
+    shared ``ints`` (``ints[i] == i``).  ``tolist()`` makes two fresh int
+    objects per move, which a recorded schedule would keep alive for its
+    whole life; the shared ints are allocated once per run."""
+    get = ints.__getitem__
+    return dict(zip(map(get, pids.tolist()), map(get, hops.tolist())))
+
+
 def _route_core(
     topology: Topology,
     sources: Sequence[int],
@@ -210,17 +273,33 @@ def _route_core(
     fault_model: FaultModel | None = None,
     on_fault: FaultCallback | None = None,
 ) -> tuple[list[dict[int, int]], RoutingStats]:
-    """Shared indexed arbitration loop for permutation and h-relation routing.
+    """The engine's arbitration loop, for permutations and h-relations,
+    fault-free or faulted.
 
-    A fault model hands the job to the indexed degraded loop,
-    :func:`~repro.sim.degraded.route_core_degraded`.
+    Bit-identical output to the oracles in :mod:`repro.sim._reference` —
+    step dicts in insertion order, :class:`RoutingStats` including
+    ``dropped`` and ``retried``, the same seeded drop draws and the same
+    error messages — is the contract.  Queue state is one array:
+    ``order`` holds the in-flight packet ids sorted by (node, FIFO
+    position), maintained per step by a stable argsort of
+    ``concat(stayers in old order, movers in grant order)`` on position —
+    stayers keep their relative order ahead of the packets that just
+    arrived, exactly the reference's ``deque`` semantics.
+
+    A fault model adds, on the same loop:
+
+    * hops from a :class:`~repro.faults.routing.FaultAwareRouter` (batched
+      BFS distance tables, warmed in one bit-parallel BFS up front) and
+      ``UnroutableError`` before the first step for a partitioned demand;
+    * on a machine with degraded hypermesh nets, a third arbitration code:
+      all proposals on one degraded net share a *serial* code, so
+      first-claim-wins grants at most one per step, while intact nets get
+      unique codes that never constrain them;
+    * a transmission phase settling every grant with one batched drop draw
+      (:meth:`~repro.faults.model.FaultModel.transmit_ok_batch`, the
+      degraded oracle's per-packet hashes), applying retries and drops in
+      grant order so ``on_fault`` sees the oracle's event sequence.
     """
-    if fault_model is not None:
-        return route_core_degraded(
-            topology, sources, dests, router, max_steps, fault_model,
-            arbitration=arbitration, on_step=on_step, on_fault=on_fault,
-            timing=timing,
-        )
     _check_arbitration(arbitration)
     fifo = arbitration == "fifo"
     n = topology.num_nodes
@@ -230,99 +309,50 @@ def _route_core(
             f"hypergraph channel model requires a HypergraphTopology, "
             f"got {type(topology).__name__}"
         )
-    shared_net = topology.shared_net if hypergraph else None
+    # Hypermesh net lookups: the topology's own, or with faults the
+    # router's (which skips hard-down nets).
+    net_map = topology
+    degraded_net = None  # per-net serial flag, on degraded machines only
+    if fault_model is not None:
+        if not isinstance(router, FaultAwareRouter):
+            router = FaultAwareRouter(topology, router, fault_model)
+        router.check_routable(sources, dests)
+        net_map = router
+        degraded_nets = router.faults.degraded_nets
+        if hypergraph and degraded_nets:
+            num_nets = topology.num_nets()
+            degraded_net = np.zeros(num_nets, dtype=bool)
+            degraded_net[sorted(degraded_nets)] = True
     next_hop = router.next_hop
-    # Routers that answer elementwise (next_hop_array) let the engine refill
-    # the per-packet hop cache in one NumPy call per step instead of one
-    # Python call per hop.  Hypergraph routing stays scalar: it needs the
-    # net id alongside the hop.
-    next_hop_array = (
-        getattr(router, "next_hop_array", None) if not hypergraph else None
+    next_hop_array = getattr(router, "next_hop_array", None)
+    shared_net = net_map.shared_net if hypergraph else None
+    shared_net_array = (
+        getattr(net_map, "shared_net_array", None) if hypergraph else None
     )
 
     npk = len(sources)
-    position = list(sources)
-    dests = list(dests)
+    position = np.array(sources, dtype=np.int64)
+    dest = np.array(dests, dtype=np.int64)
+    ints = list(range(max(npk, n)))
 
-    # Two FIFO queue representations, used in sequence.  While the network
-    # is crowded and queues are shallow ("compact" phase), one Python list
-    # per node — the seed loop's exact layout — wins: C-speed append and
-    # remove beat Python-level pointer surgery, and scanning range(n) costs
-    # nothing when most nodes hold a packet.  Once traffic thins, or a queue
-    # deepens past _COMPACT_MAX_DEPTH (where list.remove degrades to the
-    # seed's O(depth) scans), the engine switches to intrusive doubly
-    # linked lists with an active-node worklist: O(1) unlink, no empty-node
-    # scanning.  in_flight never grows and the depth high-water mark never
-    # falls, so the switch happens at most once per run.
-    in_flight = sum(
-        1 for pid in range(npk) if position[pid] != dests[pid]
-    )
-
-    queues: list[list[int]] | None = None
-    q_head: list[int] = []
-    q_tail: list[int] = []
-    q_len: list[int] = []
-    q_prev: list[int] = []
-    q_next: list[int] = []
-    # Worklist of nodes holding packets, kept in ascending order so the
-    # proposal sweep visits them exactly as the seed's range(n) scan did.
-    active: list[int] = []
-    in_active = bytearray(n)
-
-    if 4 * in_flight >= n:
-        # Crowded start: compact queues (allocating n lists only pays off
-        # when most of them will hold something).
-        queues = [[] for _ in range(n)]
-        for pid in range(npk):
-            node = position[pid]
-            if node != dests[pid]:
-                queues[node].append(pid)
-        initial_depth = max(map(len, queues), default=0)
-    else:
-        # Sparse start: build the indexed structures directly.
-        q_head = [-1] * n
-        q_tail = [-1] * n
-        q_len = [0] * n
-        q_prev = [-1] * npk
-        q_next = [-1] * npk
-        for pid in range(npk):
-            node = position[pid]
-            if node != dests[pid]:
-                tail = q_tail[node]
-                if tail == -1:
-                    q_head[node] = pid
-                else:
-                    q_next[tail] = pid
-                    q_prev[pid] = tail
-                q_tail[node] = pid
-                q_len[node] += 1
-        active = [node for node in range(n) if q_len[node]]
-        for node in active:
-            in_active[node] = 1
-        initial_depth = max(q_len, default=0)
-
-    # Per-packet caches: a deterministic router's next hop (and, on
-    # hypergraph networks, the net it rides) is a function of the packet's
-    # position, so compute it once per hop rather than once per step.
-    NO_HOP = -2  # router said "already home" — mirror seed's skip-forever
-    cached_next = [-1] * npk
-    cached_net = [-1] * npk
-    # On the vectorized path, packets whose cached hop must be (re)computed
-    # before the next propose sweep: every in-flight packet now, then each
-    # packet that moves without being delivered.
-    stale: list[int] = (
-        [pid for pid in range(npk) if position[pid] != dests[pid]]
-        if next_hop_array is not None
-        else []
-    )
+    # Priority order: node index ascending, FIFO position within the node.
+    # Initial FIFO position is packet-id order (the reference fills queues
+    # by ascending pid), so a stable sort of the ascending in-flight pids
+    # by position *is* the initial priority order.
+    queued = np.flatnonzero(position != dest)
+    order = queued[np.argsort(position[queued], kind="mergesort")]
+    in_flight = int(order.size)
+    if fault_model is not None:
+        attempts = np.zeros(npk, dtype=np.int64)
+        retry_limit = fault_model.retry_limit
 
     stats = RoutingStats()
-    delivered = stats.delivered = npk - in_flight
-    stats.max_queue_depth = initial_depth
+    delivered = npk - in_flight
+    stats.delivered = delivered
+    if in_flight:
+        stats.max_queue_depth = int(np.bincount(position[order]).max())
     steps: list[dict[int, int]] = []
-    blocked = 0  # stats.blocked_moves, kept in a local off the hot path
-    # Host timing is opt-in: the two clock reads and the append cost real
-    # time per step (visible at small N), so untimed runs skip them.
+    blocked = 0
     per_step_seconds = stats.per_step_seconds if timing else None
 
     while in_flight:
@@ -331,246 +361,142 @@ def _route_core(
             raise ScheduleError(
                 f"{in_flight} packets undelivered after {max_steps} steps"
             )
-        if stale:
-            if len(stale) >= _VECTOR_REFILL_MIN:
-                hops = next_hop_array(
-                    [position[pid] for pid in stale],
-                    [dests[pid] for pid in stale],
-                ).tolist()
-                for pid, hop in zip(stale, hops):
-                    cached_next[pid] = hop
-            else:
-                # Below the crossover, NumPy's fixed per-call cost loses to
-                # scalar routing (the tail of a run is many sparse steps).
-                for pid in stale:
-                    hop = next_hop(position[pid], dests[pid])
-                    cached_next[pid] = NO_HOP if hop is None else hop
-            stale = []
-        if queues is not None and (
-            4 * in_flight < n or stats.max_queue_depth > _COMPACT_MAX_DEPTH
-        ):
-            # One-way switch: rebuild the compact queues as linked lists
-            # (FIFO order preserved) and record which nodes hold packets.
-            q_head = [-1] * n
-            q_tail = [-1] * n
-            q_len = [0] * n
-            q_prev = [-1] * npk
-            q_next = [-1] * npk
-            for node in range(n):
-                q = queues[node]
-                if not q:
-                    continue
-                active.append(node)
-                in_active[node] = 1
-                prev = -1
-                for pid in q:
-                    if prev == -1:
-                        q_head[node] = pid
-                    else:
-                        q_next[prev] = pid
-                        q_prev[pid] = prev
-                    prev = pid
-                q_tail[node] = prev
-                q_len[node] = len(q)
-            queues = None
-        moves: dict[int, int] = {}
-        # The commit below applies `granted`, an explicit list in grant
-        # (= priority) order, never `moves.items()`: the step record's dict
-        # iteration order must be a *consequence* of arbitration order, not
-        # an input to the committed state — a backend that built the dict
-        # differently would otherwise silently change queue contents.
-        granted: list[tuple[int, int]] = []
-        # Channels claimed this step, encoded as ints for cheap set probes:
-        # directed link (node, nxt) -> node * n + nxt; net port pairs
-        # (net, node) -> net * n + node (separate inject/deliver sets).
-        used_links: set[int] = set()
-        used_inject: set[int] = set()
-        used_deliver: set[int] = set()
-
-        # Propose in deterministic order: node index, then FIFO position.
-        # Two sweeps with identical arbitration bodies — the compact phase
-        # iterates each node's list, the indexed phase walks linked queues.
-        if queues is not None:
-            for node in range(n):
-                for pid in queues[node]:
-                    nxt = cached_next[pid]
-                    if nxt == -1:
-                        hop = next_hop(node, dests[pid])
-                        if hop is None:
-                            nxt = cached_next[pid] = NO_HOP
-                        else:
-                            nxt = cached_next[pid] = hop
-                            if hypergraph:
-                                net = shared_net(node, hop)
-                                if net is None:
-                                    raise ScheduleError(
-                                        f"router proposed non-net hop "
-                                        f"{node} -> {hop}"
-                                    )
-                                cached_net[pid] = net
-                    if nxt == NO_HOP:
-                        continue
-                    if hypergraph:
-                        inject = cached_net[pid] * n + node
-                        deliver = cached_net[pid] * n + nxt
-                        if inject in used_inject or deliver in used_deliver:
-                            blocked += 1
-                            if fifo:
-                                break  # head of line holds the queue
-                            continue
-                        used_inject.add(inject)
-                        used_deliver.add(deliver)
-                    else:
-                        link = node * n + nxt
-                        if link in used_links:
-                            blocked += 1
-                            if fifo:
-                                break
-                            continue
-                        used_links.add(link)
-                    moves[pid] = nxt
-                    granted.append((pid, nxt))
+        pos = position[order]
+        dst = dest[order]
+        if next_hop_array is not None:
+            # In-flight packets never sit at their destination, so the
+            # equal-pair passthrough never fires and every row is a real
+            # proposal.
+            hops = np.asarray(next_hop_array(pos, dst), dtype=np.int64)
         else:
-            for node in active:
-                pid = q_head[node]
-                while pid != -1:
-                    nxt = cached_next[pid]
-                    if nxt == -1:
-                        hop = next_hop(node, dests[pid])
-                        if hop is None:
-                            nxt = cached_next[pid] = NO_HOP
-                        else:
-                            nxt = cached_next[pid] = hop
-                            if hypergraph:
-                                net = shared_net(node, hop)
-                                if net is None:
-                                    raise ScheduleError(
-                                        f"router proposed non-net hop "
-                                        f"{node} -> {hop}"
-                                    )
-                                cached_net[pid] = net
-                    if nxt == NO_HOP:
-                        pid = q_next[pid]
-                        continue
-                    if hypergraph:
-                        inject = cached_net[pid] * n + node
-                        deliver = cached_net[pid] * n + nxt
-                        if inject in used_inject or deliver in used_deliver:
-                            blocked += 1
-                            if fifo:
-                                break  # head of line holds the queue
-                            pid = q_next[pid]
-                            continue
-                        used_inject.add(inject)
-                        used_deliver.add(deliver)
-                    else:
-                        link = node * n + nxt
-                        if link in used_links:
-                            blocked += 1
-                            if fifo:
-                                break
-                            pid = q_next[pid]
-                            continue
-                        used_links.add(link)
-                    moves[pid] = nxt
-                    granted.append((pid, nxt))
-                    pid = q_next[pid]
+            hops = np.empty(in_flight, dtype=np.int64)
+            pos_list = pos.tolist()
+            dst_list = dst.tolist()
+            for i in range(in_flight):
+                hop = next_hop(pos_list[i], dst_list[i])
+                hops[i] = _NO_HOP if hop is None else hop
+        proposing = hops != _NO_HOP
 
-        if not moves:
+        if hypergraph:
+            if shared_net_array is not None:
+                nets = np.asarray(
+                    shared_net_array(pos, np.where(proposing, hops, pos)),
+                    dtype=np.int64,
+                )
+            else:
+                nets = np.full(in_flight, -1, dtype=np.int64)
+                for i in np.flatnonzero(proposing).tolist():
+                    net = shared_net(int(pos[i]), int(hops[i]))
+                    nets[i] = -1 if net is None else net
+            bad = proposing & (nets < 0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ScheduleError(
+                    f"router proposed non-net hop {int(pos[i])} -> "
+                    f"{int(hops[i])}"
+                )
+
+        # --- arbitration: indices into `order`, ascending == grant order
+        if fifo:
+            granted_idx, denied = _fifo_arbitrate(
+                n, pos, hops, nets if hypergraph else None, degraded_net
+            )
+            blocked += denied
+        elif hypergraph:
+            codes = [nets * np.int64(n) + pos, nets * np.int64(n) + hops]
+            if degraded_net is not None:
+                # Serial codes: every proposal on one degraded net shares
+                # that net's id, so first-claim-wins admits one per step;
+                # intact-net proposals get unique codes that always win.
+                # Only proposers (whose nets are real) are ever consulted.
+                codes.append(np.where(
+                    degraded_net[nets],
+                    nets,
+                    num_nets + np.arange(in_flight, dtype=np.int64),
+                ))
+            granted_parts = []
+            cand = np.flatnonzero(proposing)
+            while cand.size:
+                win = _first_claim_wins(codes[0][cand])
+                for code in codes[1:]:
+                    win &= _first_claim_wins(code[cand])
+                grant = cand[win]
+                granted_parts.append(grant)
+                rest = cand[~win]
+                if rest.size == 0:
+                    break
+                conflict = _claimed(codes[0][rest], codes[0][grant])
+                for code in codes[1:]:
+                    conflict |= _claimed(code[rest], code[grant])
+                blocked += int(np.count_nonzero(conflict))
+                cand = rest[~conflict]
+            granted_idx = (
+                np.sort(np.concatenate(granted_parts))
+                if granted_parts
+                else np.empty(0, dtype=np.int64)
+            )
+        else:
+            prop_idx = np.flatnonzero(proposing)
+            codes = pos[prop_idx] * np.int64(n) + hops[prop_idx]
+            win = _first_claim_wins(codes)
+            granted_idx = prop_idx[win]
+            blocked += int(prop_idx.size - granted_idx.size)
+
+        if granted_idx.size == 0:
             raise ScheduleError(
                 f"deadlock: {in_flight} packets queued but none can move"
             )
 
-        # Apply the granted moves.
-        grew: list[int] = []
-        max_depth = stats.max_queue_depth
-        if queues is not None:
-            for pid, nxt in granted:
-                queues[position[pid]].remove(pid)
-                position[pid] = nxt
-                if nxt == dests[pid]:
-                    # Delivered: its stale cache entry is never read again.
-                    delivered += 1
-                    in_flight -= 1
-                else:
-                    if next_hop_array is not None:
-                        stale.append(pid)  # batch refill overwrites it
-                    else:
-                        cached_next[pid] = -1
-                    queues[nxt].append(pid)
-                    grew.append(nxt)
-            # Only queues that received a packet can set a depth record.
-            for node in grew:
-                if len(queues[node]) > max_depth:
-                    max_depth = len(queues[node])
-        else:
-            newly_active: list[int] = []
-            for pid, nxt in granted:
-                node = position[pid]
-                prv, fol = q_prev[pid], q_next[pid]
-                if prv == -1 and fol == -1:
-                    # Singleton queue (the common case under light load):
-                    # the packet's own links are already -1.
-                    q_head[node] = -1
-                    q_tail[node] = -1
-                else:
-                    if prv == -1:
-                        q_head[node] = fol
-                    else:
-                        q_next[prv] = fol
-                    if fol == -1:
-                        q_tail[node] = prv
-                    else:
-                        q_prev[fol] = prv
-                    q_prev[pid] = q_next[pid] = -1
-                q_len[node] -= 1
+        gone = np.zeros(in_flight, dtype=bool)
+        if fault_model is not None:
+            # --- transmission: one batched drop draw over the grants
+            ok = fault_model.transmit_ok_batch(stats.steps, order[granted_idx])
+            fail = granted_idx[~ok]
+            if fail.size:
+                fail_pids = order[fail]
+                attempts[fail_pids] += 1
+                stats.retried += int(fail.size)
+                over = (
+                    attempts[fail_pids] > retry_limit
+                    if retry_limit is not None
+                    else np.zeros(fail.size, dtype=bool)
+                )
+                if on_fault is not None:
+                    # Event order is contractual: each failed grant's
+                    # retry (and any immediate drop), in grant order.
+                    for pid, node, att, drop in zip(
+                        fail_pids.tolist(), pos[fail].tolist(),
+                        attempts[fail_pids].tolist(), over.tolist(),
+                    ):
+                        on_fault("retry", stats.steps, pid, node, att)
+                        if drop:
+                            on_fault("drop", stats.steps, pid, node, att)
+                stats.dropped += int(np.count_nonzero(over))
+                gone[fail[over]] = True
+                granted_idx = granted_idx[ok]
 
-                position[pid] = nxt
-                if nxt == dests[pid]:
-                    # Delivered: its stale cache entry is never read again.
-                    delivered += 1
-                    in_flight -= 1
-                else:
-                    if next_hop_array is not None:
-                        stale.append(pid)  # batch refill overwrites it
-                    else:
-                        cached_next[pid] = -1
-                    tail = q_tail[nxt]
-                    if tail == -1:
-                        q_head[nxt] = pid
-                    else:
-                        q_next[tail] = pid
-                        q_prev[pid] = tail
-                    q_tail[nxt] = pid
-                    q_len[nxt] += 1
-                    grew.append(nxt)
-                    if not in_active[nxt]:
-                        in_active[nxt] = 1
-                        newly_active.append(nxt)
+        # --- commit, in grant order (== priority order among grants)
+        grant_pids = order[granted_idx]
+        grant_hops = hops[granted_idx]
+        position[grant_pids] = grant_hops
+        arrived = grant_hops == dest[grant_pids]
+        gone[granted_idx] = True
+        survivors = np.concatenate((order[~gone], grant_pids[~arrived]))
+        order = survivors[np.argsort(position[survivors], kind="mergesort")]
+        in_flight = int(order.size)
+        delivered += int(np.count_nonzero(arrived))
 
-            # Refresh the worklist: drop drained nodes, merge new arrivals.
-            still_active = []
-            for node in active:
-                if q_len[node]:
-                    still_active.append(node)
-                else:
-                    in_active[node] = 0
-            if newly_active:
-                newly_active.sort()
-                still_active += newly_active
-                still_active.sort()  # two sorted runs: Timsort merge, O(len)
-            active = still_active
-            for node in grew:
-                if q_len[node] > max_depth:
-                    max_depth = q_len[node]
-
+        moves = _step_moves(ints, grant_pids, grant_hops)
         steps.append(moves)
         stats.steps += 1
         stats.total_hops += len(moves)
         stats.per_step_moves.append(len(moves))
         stats.blocked_moves = blocked
         stats.delivered = delivered
-        stats.max_queue_depth = max_depth
+        if in_flight:
+            depth = int(np.bincount(position[order]).max())
+            if depth > stats.max_queue_depth:
+                stats.max_queue_depth = depth
         if per_step_seconds is not None:
             per_step_seconds.append(perf_counter() - t0)
         if on_step is not None:
@@ -579,17 +505,82 @@ def _route_core(
     return steps, stats
 
 
+def _fifo_arbitrate(
+    n: int,
+    pos: np.ndarray,
+    hops: np.ndarray,
+    nets: np.ndarray | None,
+    degraded: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """Sequential FIFO arbitration over priority-ordered proposals.
+
+    FIFO queueing is non-monotone — a denial silences the rest of that
+    node's queue for the step, which can free channels for *later* nodes —
+    so it cannot be a one-shot argsort; this mirrors the oracle sweep's
+    ``break`` with a per-node skip flag instead.  Exactly one blocked move
+    is counted per stopped node (the packet that hit the busy channel);
+    the silenced tail never reaches a channel and counts nothing.
+    ``None``-hop packets are transparent: skipped without stopping the
+    queue, as in the oracle.  ``degraded`` is the per-net serial
+    flag of a faulted hypermesh: a degraded net, once granted, denies
+    every later proposal on it this step.  Returns (granted indices
+    ascending, blocked count).
+    """
+    skip = bytearray(n)
+    used_links: set[int] = set()
+    used_inject: set[int] = set()
+    used_deliver: set[int] = set()
+    used_serial: set[int] = set()
+    granted: list[int] = []
+    blocked = 0
+    pos_list = pos.tolist()
+    hop_list = hops.tolist()
+    net_list = nets.tolist() if nets is not None else None
+    serial = degraded.tolist() if degraded is not None else None
+    for i in range(len(pos_list)):
+        nxt = hop_list[i]
+        if nxt == _NO_HOP:
+            continue
+        node = pos_list[i]
+        if skip[node]:
+            continue
+        if net_list is not None:
+            net = net_list[i]
+            inject = net * n + node
+            deliver = net * n + nxt
+            if (
+                inject in used_inject
+                or deliver in used_deliver
+                or net in used_serial
+            ):
+                skip[node] = 1
+                blocked += 1
+                continue
+            used_inject.add(inject)
+            used_deliver.add(deliver)
+            if serial is not None and serial[net]:
+                used_serial.add(net)
+        else:
+            link = node * n + nxt
+            if link in used_links:
+                skip[node] = 1
+                blocked += 1
+                continue
+            used_links.add(link)
+        granted.append(i)
+    return np.asarray(granted, dtype=np.int64), blocked
+
+
 def _resolve_plan_cache(
     cache,
     on_step: StepCallback | None,
     timing: bool,
     fault_hook: bool = False,
 ) -> "_plancache.PlanCache | None":
-    """Normalize a ``cache=`` argument, honouring the process default.
+    """Normalize a ``cache=`` argument.
 
-    ``cache=None`` (the keyword's default) consults the process-wide
-    default installed by :func:`repro.sim.plancache.set_process_default`;
-    ``cache=False`` always routes live.  Instrumented runs (``on_step`` or
+    ``cache=None`` (the keyword's default) and ``cache=False`` route live.
+    Instrumented runs (``on_step`` or
     ``timing``) bypass the cache — a replay has no live stats to stream and
     spent no per-step host time — and are counted as ``bypassed``.
     ``fault_hook`` marks a run with an active fault model carrying an
@@ -598,10 +589,7 @@ def _resolve_plan_cache(
     ``repro plans stats`` shows how much traffic fault instrumentation
     keeps out of the cache.
     """
-    if cache is None:
-        resolved = _plancache.process_default()
-    else:
-        resolved = _plancache.resolve_cache(cache)
+    resolved = _plancache.resolve_cache(cache)
     if resolved is None:
         return None
     if fault_hook:
@@ -626,29 +614,18 @@ def _route_or_replay(
     cache,
     fault_model: FaultModel | None = None,
     on_fault: FaultCallback | None = None,
-    backend: str | None = None,
 ) -> tuple[list[dict[int, int]], RoutingStats]:
-    """Cache-aware front of the routing cores: replay a recorded plan on a
+    """Cache-aware front of the routing core: replay a recorded plan on a
     hit, route live (and record) on a miss.
 
-    ``backend=None`` runs the core :func:`~repro.sim.backends.
-    choose_backend` picks for the job's packet count; a name forces that
-    core.  It is resolved *before* the cache is consulted so unknown names
-    fail fast instead of being masked by a hit.  It is deliberately
-    **not** part of the plan key — the cores are bit-identical by
-    contract, so a plan recorded by one replays for all.
-
-    An *enabled* fault model rides along to the same core, picked by the
-    same rule, and folds its fingerprint into the plan key: the faulted
+    An *enabled* fault model rides along to the core and folds its
+    fingerprint into the plan key: the faulted
     and fault-free variants of one problem are distinct cache entries by
     construction.  A disabled model is treated exactly as no model at all.
     """
     if fault_model is not None and not fault_model.enabled:
         fault_model = None  # attached-but-empty: contractual no-op
     _check_arbitration(arbitration)
-    if backend is None:
-        backend = choose_backend(len(sources))
-    route_core = resolve_backend(backend)
     cache_obj = _resolve_plan_cache(
         cache, on_step, timing,
         fault_hook=fault_model is not None and on_fault is not None,
@@ -664,7 +641,7 @@ def _route_or_replay(
             plan = cache_obj.get(key)
             if plan is not None:
                 return plan.replay_steps(), plan.replay_stats()
-    steps, stats = route_core(
+    steps, stats = _route_core(
         topology,
         sources,
         dests,
@@ -688,7 +665,6 @@ def route_permutation(
     *,
     max_steps: int | None = None,
     arbitration: str = "overtaking",
-    backend: str | None = None,
     on_step: StepCallback | None = None,
     timing: bool = False,
     cache=None,
@@ -706,31 +682,22 @@ def route_permutation(
     router:
         Routing discipline; defaults to the topology's canonical router.
         Must be deterministic — a pure function of ``(current, dest)`` —
-        because the engine caches each packet's next hop per position.
+        because a recorded plan is replayed for the same router.
     max_steps:
         Safety bound; defaults to ``10 * diameter + 10 * N`` which no
         deterministic minimal-path discipline on these topologies exceeds.
     arbitration:
         Channel-arbitration policy, ``"overtaking"`` (seed-identical
         default) or ``"fifo"`` — see the module docstring.
-    backend:
-        Arbitration core.  ``None`` (default) lets the engine pick by
-        packet count (:func:`~repro.sim.backends.choose_backend`);
-        ``"indexed"`` or ``"numpy"`` forces one, as the equivalence
-        suites do.  The cores are bit-identical by contract (schedule,
-        stats, and plan-cache digests alike), so this only changes how
-        fast the answer is computed, fault-injected runs included.  See
-        :mod:`repro.sim.backends`.
     on_step:
         Optional :data:`StepCallback` invoked after every committed step.
     timing:
         Record host wall-clock per step into ``stats.per_step_seconds``
         (opt-in; untimed runs leave it empty and skip the clock reads).
     cache:
-        Plan cache mode — ``False`` (route live even past a process
-        default), ``"memory"``, ``"disk"``, a directory path, or a
-        :class:`~repro.sim.plancache.PlanCache`.  ``None`` (default) uses
-        the process default if one is installed.  A hit replays the
+        Plan cache mode — ``None`` (default) or ``False`` (route live),
+        ``"memory"``, ``"disk"``, a directory path, or a
+        :class:`~repro.sim.plancache.PlanCache`.  A hit replays the
         recorded schedule and stats bit-identically; ``on_step``/``timing``
         runs bypass the cache.
     fault_model:
@@ -742,7 +709,7 @@ def route_permutation(
         longer realizes ``perm`` — ``schedule.validate()`` will then raise,
         by design.
     on_fault:
-        Optional :data:`~repro.sim.degraded.FaultCallback` observing every
+        Optional :data:`FaultCallback` observing every
         retry and drop (only ever fired by an enabled fault model).
 
     Raises
@@ -775,7 +742,6 @@ def route_permutation(
         cache=cache,
         fault_model=fault_model,
         on_fault=on_fault,
-        backend=backend,
     )
     schedule = CommSchedule(
         topology=topology, logical=perm, steps=tuple(steps)
@@ -790,7 +756,6 @@ def route_demands(
     *,
     max_steps: int | None = None,
     arbitration: str = "overtaking",
-    backend: str | None = None,
     on_step: StepCallback | None = None,
     timing: bool = False,
     cache=None,
@@ -806,7 +771,7 @@ def route_demands(
     as steps, exactly as the word model prescribes.
 
     The ``max_steps`` default scales with the relation's degree ``h``.
-    ``arbitration``, ``backend``, ``on_step``, ``timing``, ``cache``,
+    ``arbitration``, ``on_step``, ``timing``, ``cache``,
     ``fault_model`` and ``on_fault`` behave as in
     :func:`route_permutation`.
     """
@@ -842,33 +807,9 @@ def route_demands(
         cache=cache,
         fault_model=fault_model,
         on_fault=on_fault,
-        backend=backend,
     )
     return RoutedDemands(
         demands=tuple((int(s), int(d)) for s, d in demands),
         steps=tuple(steps),
         stats=stats,
     )
-
-
-def replay_schedule(schedule: CommSchedule) -> int:
-    """Validate a schedule against the hardware model and return its step
-    count.  Thin convenience wrapper so benchmark code reads naturally."""
-    schedule.validate()
-    return schedule.num_steps
-
-
-def _shared_net_id(topology: Topology, a: int, b: int) -> int | None:
-    """Net shared by two nodes (kept for callers of the seed-era helper).
-
-    The engine now uses the topology's own cached/closed-form
-    :meth:`~repro.networks.base.HypergraphTopology.shared_net`; this wrapper
-    survives so external code keyed to the old name keeps working, and it
-    raises :class:`TypeError` (not a strippable ``assert``) on non-hypergraph
-    topologies.
-    """
-    if not isinstance(topology, HypergraphTopology):
-        raise TypeError(
-            f"net lookup needs a HypergraphTopology, got {type(topology).__name__}"
-        )
-    return topology.shared_net(a, b)

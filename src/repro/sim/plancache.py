@@ -64,8 +64,6 @@ __all__ = [
     "resolve_cache",
     "memory_cache",
     "disk_cache",
-    "set_process_default",
-    "process_default",
 ]
 
 #: Engine schema version baked into every plan key and blob.  Bump whenever
@@ -169,10 +167,10 @@ class PlanKey:
 
     Everything the engine's output depends on, nothing it does not: the
     packet payloads, host timing, and instrumentation hooks are all absent
-    by construction.  The engine *backend* is deliberately absent too:
-    every backend is bit-identical by contract (the equivalence and fuzz
-    suites enforce it), so a plan recorded under one backend replays for
-    all of them — same key, same digest, same blob bytes.
+    by construction.  The engine has one core, bit-identical by contract
+    to the step-loop oracles in :mod:`repro.sim._reference` (the
+    equivalence and fuzz suites enforce it), so nothing about how the
+    plan was computed belongs in the key.
     """
 
     topology: str
@@ -565,7 +563,6 @@ class PlanCache:
 
 _MEMORY_SINGLETON: PlanCache | None = None
 _DISK_SINGLETON: PlanCache | None = None
-_PROCESS_DEFAULT: PlanCache | None = None
 
 
 def memory_cache() -> PlanCache:
@@ -614,22 +611,3 @@ def resolve_cache(cache) -> PlanCache | None:
         f"PlanCache; got {type(cache).__name__}"
     )
 
-
-def set_process_default(cache) -> PlanCache | None:
-    """Install a process-wide default plan cache (``None`` uninstalls).
-
-    Engine calls that pass ``cache=None`` (the default) consult this cache;
-    ``cache=False`` forces live routing even when a default is installed.
-    This is how campaign workers and the experiment registry share one
-    cache without threading a parameter through every layer.  Returns the
-    previously installed default so callers can restore it.
-    """
-    global _PROCESS_DEFAULT
-    previous = _PROCESS_DEFAULT
-    _PROCESS_DEFAULT = resolve_cache(cache)
-    return previous
-
-
-def process_default() -> PlanCache | None:
-    """The currently installed process-wide default plan cache."""
-    return _PROCESS_DEFAULT

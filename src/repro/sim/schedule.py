@@ -8,9 +8,9 @@ of producing communication are lowered to this one representation:
   3-step Clos route, mesh shift exchanges) are constructed directly by
   :mod:`repro.core`, and
 * *adaptive* routing (greedy XY on the mesh) records the moves it made
-  (:mod:`repro.sim.engine` — whichever backend from
-  :mod:`repro.sim.backends` computed them; all are bit-identical by
-  contract, down to the insertion order of each step's move dict).
+  (:mod:`repro.sim.engine`, whose one core is bit-identical by contract
+  to the step-loop oracles in :mod:`repro.sim._reference`, down to the
+  insertion order of each step's move dict).
 
 Validation then enforces the word-level hardware constraints uniformly:
 

@@ -128,10 +128,6 @@ def run_routing_task(params: dict) -> dict:
 
     Required ``params``: ``topology``, ``n``, ``workload``.  Optional:
     ``seed`` (default 99), ``arbitration`` (default ``"overtaking"``),
-    ``backend`` (default: the engine's packet-count rule,
-    :func:`repro.sim.backends.choose_backend`; a name from
-    :data:`repro.sim.backends.ENGINE_BACKENDS` forces that core, and the
-    payload reports the core that ran — bit-identical either way),
     ``max_steps`` (default the engine's own bound), ``trace`` — a
     directory path (or ``True`` for ``results/traces``) into which the run
     writes a JSONL observability trace — and ``plan_cache`` — a plan-cache
@@ -159,16 +155,24 @@ def run_routing_task(params: dict) -> dict:
     :class:`~repro.bounds.BoundViolation` — a failed task, never a data
     point.  Unroutable cells return before certification (their bound is
     infinite).
+
+    The engine has one core, so a ``backend`` parameter (an engine-core
+    axis of older campaign specs) is a :class:`ValueError` rather than a
+    silently ignored key.
     """
-    from .backends import choose_backend
     from .engine import route_demands
+
+    if "backend" in params:
+        raise ValueError(
+            "run_routing_task: 'backend' is no parameter; the engine runs "
+            "every job on its one core"
+        )
 
     topology_name = params["topology"]
     n = int(params["n"])
     workload_name = params["workload"]
     seed = int(params.get("seed", 99))
     arbitration = params.get("arbitration", "overtaking")
-    backend = params.get("backend")
     trace = params.get("trace")
     plan_cache = params.get("plan_cache")
 
@@ -181,8 +185,6 @@ def run_routing_task(params: dict) -> dict:
 
     topology = build_topology(topology_name, n)
     sources, dests = build_workload(workload_name, n, seed)
-    if backend is None:
-        backend = choose_backend(len(sources))
 
     probe = tracer = None
     if trace:
@@ -209,7 +211,6 @@ def run_routing_task(params: dict) -> dict:
             list(zip(sources, dests)),
             max_steps=params.get("max_steps"),
             arbitration=arbitration,
-            backend=backend,
             on_step=probe,
             timing=probe is not None,  # traced runs opt into host timing
             cache=plan_cache if plan_cache else False,
@@ -271,7 +272,6 @@ def run_routing_task(params: dict) -> dict:
         "workload": workload_name,
         "seed": seed,
         "arbitration": arbitration,
-        "backend": backend,
         "packets": len(sources),
         "steps": stats.steps,
         "total_hops": stats.total_hops,

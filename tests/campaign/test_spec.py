@@ -80,15 +80,30 @@ class TestBuiltins:
         from repro.campaign import builtin_campaign
 
         spec = builtin_campaign("engine-sweep")
-        # 3 topologies x 4 sizes x 3 workloads x 2 backends
-        assert len(spec) == 72
+        # 3 topologies x 4 sizes x 3 workloads
+        assert len(spec) == 36
         assert all(
             t.entry == "repro.sim.task:run_routing_task" for t in spec.tasks
         )
-        assert {t.params["backend"] for t in spec.tasks} == {
-            "indexed",
-            "numpy",
-        }
+        assert not any("backend" in t.params for t in spec.tasks)
+
+    def test_chaos_sweep_grid_shape(self):
+        from repro.campaign import builtin_campaign
+
+        spec = builtin_campaign("chaos-sweep")
+        # 3 topologies x 2 sizes x 4 fractions + hypermesh 2 sizes x 3
+        assert len(spec) == 30
+        assert not any("backend" in t.params for t in spec.tasks)
+
+    def test_routing_task_rejects_a_backend_param(self):
+        """A spec from before the engine had one core names the core it
+        wanted; the task refuses it rather than silently ignoring it."""
+        from repro.sim.task import run_routing_task
+
+        with pytest.raises(ValueError, match="'backend' is no parameter"):
+            run_routing_task({"topology": "mesh2d", "n": 16,
+                              "workload": "bit-reversal",
+                              "backend": "indexed"})
 
     def test_unknown_builtin(self):
         from repro.campaign import builtin_campaign

@@ -12,10 +12,11 @@ from repro.routing import Permutation
 from repro.sim import (
     PlanCache,
     ScheduleError,
-    ENGINE_BACKENDS,
     route_demands,
     route_permutation,
 )
+from repro.sim._reference import route_core_degraded
+from repro.sim.routers import router_for
 from repro.sim.task import build_topology
 
 
@@ -219,8 +220,8 @@ SEVERITY_GRID = [
 
 class TestSeverityGrid:
     """Every cell of the severity grid, a reversal h-relation:
-    each core routes it bit-identically and deterministically (or refuses
-    it with the same message), a disabled model routes the fault-free
+    the engine and the degraded oracle route it bit-identically (or
+    refuse it with the same message), a disabled model routes the fault-free
     baseline, every packet is delivered or dropped, detours and retries
     never shorten the total work, and the steps clear the fault-aware,
     drop-discounted floor."""
@@ -233,18 +234,26 @@ class TestSeverityGrid:
         model = FaultModel(seed=99, **{axis: amount})
         demands = _reversal(topo.num_nodes)
         baseline = route_demands(topo, demands, cache=False)
+        def engine():
+            routed = route_demands(topo, demands, fault_model=model,
+                                   cache=False)
+            return routed.steps, routed.stats
+
+        def oracle():  # the degraded loop the engine's core must match
+            return route_core_degraded(
+                topo, [s for s, _ in demands], [d for _, d in demands],
+                router_for(topo),
+                100 * (10 * topo.diameter + 10 * topo.num_nodes), model,
+            )
+
         runs, errors = [], set()
-        # None is the default dispatch: the indexed core again below
-        # 1,024 packets, so the cell is also routed twice by one core.
-        for backend in (*ENGINE_BACKENDS, None):
+        for run in (engine, oracle):
             try:
-                routed = route_demands(topo, demands, fault_model=model,
-                                       backend=backend, cache=False)
+                steps, stats = run()
             except UnroutableError as exc:
                 errors.add(str(exc))
             else:
-                runs.append(([list(s.items()) for s in routed.steps],
-                             routed.stats))
+                runs.append(([list(s.items()) for s in steps], stats))
         if errors:
             assert not runs and len(errors) == 1, errors
             return

@@ -128,19 +128,12 @@ class TestStructureCaching:
         topo = Mesh2D(4)
         model = FaultModel(link_fail_fraction=0.2, seed=5)
         demands = [(i, (i + 5) % 16) for i in range(16)]
-        for backend in ("indexed", "numpy"):
-            route_demands(
-                topo, demands, fault_model=model, backend=backend,
-                cache=False,
-            )
-            resolved = resolve_faults(model, topo)
-            graph = resolved.surviving_graph(topo)
-            route_demands(
-                topo, demands, fault_model=model, backend=backend,
-                cache=False,
-            )
-            assert resolve_faults(model, topo) is resolved
-            assert resolved.surviving_graph(topo) is graph
+        route_demands(topo, demands, fault_model=model, cache=False)
+        resolved = resolve_faults(model, topo)
+        graph = resolved.surviving_graph(topo)
+        route_demands(topo, demands, fault_model=model, cache=False)
+        assert resolve_faults(model, topo) is resolved
+        assert resolved.surviving_graph(topo) is graph
 
     def test_bfs_tables_grow_and_persist_across_calls(self):
         topo = Mesh2D(4)

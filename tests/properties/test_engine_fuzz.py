@@ -4,25 +4,24 @@ Hypothesis generates random small machines (mesh / torus / hypercube /
 hypermesh), random demand sets, and arbitration policies, then checks the
 load-bearing equivalences end to end:
 
-* the indexed production engine is **bit-identical** to the frozen seed
-  loop in :mod:`repro.sim._reference` (overtaking arbitration — the only
-  policy the reference implements);
-* both engine cores are bit-identical to the indexed engine — step
-  dicts in the same insertion order, same stats — under both arbitration
-  policies, and the numpy core matches the seed reference directly;
+* the engine's one core is **bit-identical** to the frozen seed loop in
+  :mod:`repro.sim._reference` (overtaking arbitration — the only policy
+  the seed loop implements);
+* it is bit-identical to the degraded oracle with an empty fault model —
+  step dicts in the same insertion order, same stats — under both
+  arbitration policies;
 * a cached replay equals live routing, schedule and stats alike;
 * attaching a fault-free :class:`~repro.faults.FaultModel` is a no-op —
-  the engine must take its fault-free fast path and produce the identical
+  the engine must take its fault-free path and produce the identical
   output, under either arbitration policy;
-* the **degraded backend axis**: for random *enabled* fault configs (link
-  kills, seeded drops + retries, degraded hypermesh nets) the SoA
-  ``"numpy"`` degraded core is bit-identical to the ``"indexed"`` degraded
-  loop — and when faults partition the machine, both raise the same
-  :class:`~repro.faults.UnroutableError`;
-* ``"fifo"`` arbitration (no reference to diff against) is at least
-  self-consistent: rerunning is deterministic and the schedule validates;
-* the **certification axis**: every fuzz-generated run — all backends,
-  faulted and fault-free — must pass :mod:`repro.bounds` certification.
+* the **degraded axis**: for random *enabled* fault configs (link kills,
+  seeded drops + retries, degraded hypermesh nets) the core is
+  bit-identical to the degraded oracle — and when faults partition the
+  machine, both raise the same :class:`~repro.faults.UnroutableError`;
+* ``"fifo"`` arbitration is also self-consistent: rerunning is
+  deterministic and every packet ends at its destination;
+* the **certification axis**: every fuzz-generated run, faulted and
+  fault-free, must pass :mod:`repro.bounds` certification.
   A bound violation means either the engine beat physics or the bound is
   unsound; both are fuzz failures, reported with a pickled repro case.
 
@@ -46,13 +45,10 @@ from repro.faults import FaultModel, UnroutableError
 from repro.networks import Hypercube, Hypermesh, Hypermesh2D, Mesh2D, Torus2D
 from repro.networks.base import ChannelModel
 from repro.sim import PlanCache, route_demands
-from repro.sim._reference import reference_route_core
+from repro.sim._reference import reference_route_core, route_core_degraded
 from repro.sim.routers import router_for
 
 pytestmark = pytest.mark.fuzz
-
-#: Both engine cores.
-BACKENDS = ["indexed", "numpy"]
 
 TOPOLOGIES = {
     "mesh2": lambda: Mesh2D(2),
@@ -102,6 +98,23 @@ def _as_comparable(routed):
     return tuple(sorted(d.items()) for d in routed.steps), routed.stats
 
 
+def _oracle(topo, demands, arbitration, model):
+    """The degraded oracle's ``(steps, stats)``; raises what it raises."""
+    return route_core_degraded(
+        topo, [s for s, _ in demands], [d for _, d in demands],
+        router_for(topo), 10_000, model, arbitration=arbitration,
+    )
+
+
+def _assert_matches(routed, want):
+    """Bit-identity: step dicts in insertion order, and stats."""
+    steps, stats = want
+    assert [list(s.items()) for s in routed.steps] == [
+        list(s.items()) for s in steps
+    ]
+    assert routed.stats == stats
+
+
 def _certified(topo, demands, routed, model=None):
     """Certify a fuzz-generated run against its analytic floor.
 
@@ -129,53 +142,29 @@ def _certified(topo, demands, routed, model=None):
 
 
 @given(topology_and_demands())
-def test_indexed_engine_matches_reference(case):
+def test_engine_matches_reference(case):
     topo, demands = case
     routed = route_demands(topo, demands)
     sources = [s for s, _ in demands]
     dests = [d for _, d in demands]
-    ref_steps, ref_stats = reference_route_core(
-        topo, sources, dests, router_for(topo), max_steps=10_000
+    _assert_matches(
+        routed,
+        reference_route_core(
+            topo, sources, dests, router_for(topo), max_steps=10_000
+        ),
     )
-    assert list(routed.steps) == ref_steps
-    assert routed.stats == ref_stats
     _certified(topo, demands, routed)
 
 
-@given(
-    topology_and_demands(),
-    st.sampled_from(["overtaking", "fifo"]),
-    st.sampled_from(BACKENDS),
-)
-def test_backends_bit_identical_to_indexed(case, arbitration, backend):
-    """The differential backend axis: any (machine, demands, arbitration,
-    backend) draw must reproduce the indexed engine exactly — including
-    each step dict's insertion order, which the plan cache serializes."""
+@given(topology_and_demands(), st.sampled_from(["overtaking", "fifo"]))
+def test_engine_matches_the_degraded_oracle(case, arbitration):
+    """Any (machine, demands, arbitration) draw must reproduce the
+    degraded oracle with an empty fault model exactly — including each
+    step dict's insertion order, which the plan cache serializes."""
     topo, demands = case
-    baseline = route_demands(
-        topo, demands, arbitration=arbitration, backend="indexed"
-    )
-    routed = route_demands(
-        topo, demands, arbitration=arbitration, backend=backend
-    )
-    assert [list(s.items()) for s in routed.steps] == [
-        list(s.items()) for s in baseline.steps
-    ]
-    assert routed.stats == baseline.stats
+    routed = route_demands(topo, demands, arbitration=arbitration)
+    _assert_matches(routed, _oracle(topo, demands, arbitration, FaultModel()))
     _certified(topo, demands, routed)
-
-
-@given(topology_and_demands())
-def test_numpy_backend_matches_reference(case):
-    topo, demands = case
-    routed = route_demands(topo, demands, backend="numpy")
-    sources = [s for s, _ in demands]
-    dests = [d for _, d in demands]
-    ref_steps, ref_stats = reference_route_core(
-        topo, sources, dests, router_for(topo), max_steps=10_000
-    )
-    assert list(routed.steps) == ref_steps
-    assert routed.stats == ref_stats
 
 
 @given(topology_and_demands(), st.sampled_from(["overtaking", "fifo"]))
@@ -199,10 +188,6 @@ def test_disabled_fault_model_is_a_noop(case, arbitration):
         topo, demands, arbitration=arbitration, fault_model=FaultModel(seed=7)
     )
     assert _as_comparable(with_model) == _as_comparable(plain)
-
-
-#: Cores whose degraded twin is diffed against the indexed degraded loop.
-DEGRADED_BACKENDS = ["numpy"]
 
 
 @st.composite
@@ -240,59 +225,30 @@ def topology_demands_and_faults(draw):
     return topo, demands, FaultModel(**kwargs)
 
 
-@given(
-    topology_demands_and_faults(),
-    st.sampled_from(["overtaking", "fifo"]),
-    st.sampled_from(DEGRADED_BACKENDS),
-)
-def test_degraded_backends_bit_identical_to_indexed(case, arbitration, backend):
+@given(topology_demands_and_faults(), st.sampled_from(["overtaking", "fifo"]))
+def test_degraded_engine_matches_the_degraded_oracle(case, arbitration):
     """The degraded differential axis: any (machine, demands, faults,
-    arbitration, backend) draw must reproduce the indexed degraded loop
-    exactly — step dicts in insertion order, stats including retried and
-    dropped, and the same seeded drop-draw sequence.  Partitioning faults
-    must raise the same :class:`UnroutableError` from every backend."""
+    arbitration) draw must reproduce the degraded oracle exactly — step
+    dicts in insertion order, stats including retried and dropped, and the
+    same seeded drop-draw sequence.  Partitioning faults must raise the
+    same :class:`UnroutableError` from both."""
     topo, demands, model = case
     try:
-        baseline = route_demands(
-            topo, demands, arbitration=arbitration, fault_model=model,
-            backend="indexed", cache=False,
-        )
+        want = _oracle(topo, demands, arbitration, model)
     except UnroutableError as exc:
         with pytest.raises(UnroutableError) as got:
             route_demands(
                 topo, demands, arbitration=arbitration, fault_model=model,
-                backend=backend, cache=False,
+                cache=False,
             )
         assert str(got.value) == str(exc)
         return
     routed = route_demands(
         topo, demands, arbitration=arbitration, fault_model=model,
-        backend=backend, cache=False,
+        cache=False,
     )
-    assert [list(s.items()) for s in routed.steps] == [
-        list(s.items()) for s in baseline.steps
-    ]
-    assert routed.stats == baseline.stats
+    _assert_matches(routed, want)
     _certified(topo, demands, routed, model)
-
-
-@given(
-    topology_and_demands(),
-    st.sampled_from(["overtaking", "fifo"]),
-    st.sampled_from(DEGRADED_BACKENDS),
-)
-def test_disabled_fault_model_is_a_noop_per_backend(case, arbitration, backend):
-    """A disabled model must be a no-op on every backend — the run takes
-    the backend's fault-free fast path, not a degraded core."""
-    topo, demands = case
-    plain = route_demands(
-        topo, demands, arbitration=arbitration, backend=backend, cache=False
-    )
-    with_model = route_demands(
-        topo, demands, arbitration=arbitration, backend=backend,
-        fault_model=FaultModel(seed=7), cache=False,
-    )
-    assert _as_comparable(with_model) == _as_comparable(plain)
 
 
 @given(topology_and_demands())

@@ -1,19 +1,27 @@
-"""The core seam, enforced: both engine cores are bit-identical.
+"""The one core against its oracles: bit-identical, fault-free and faulted.
 
-``repro.sim.backends`` promises that the ``"numpy"`` core produces
-byte-for-byte the same observable output as the indexed engine and the
-frozen seed loop — same step dicts *in the same insertion order*, same
-:class:`~repro.sim.stats.RoutingStats`, same plan-cache digests and blob
-payloads — so the engine may pick either by packet count.  These tests are
-that contract and the rule; the differential fuzz harness in
-``tests/properties/test_engine_fuzz.py`` extends them with random draws.
+The engine runs every job on one arbitration loop,
+:func:`repro.sim.engine._route_core` (the structure-of-arrays NumPy loop).
+Its contract is byte-for-byte the observable output of the step-loop
+oracles in :mod:`repro.sim._reference` — same step dicts *in the same
+insertion order*, same :class:`~repro.sim.stats.RoutingStats`, same
+plan-blob payloads:
+
+* ``reference_route_core``, the frozen seed loop (overtaking, fault-free);
+* ``route_core_degraded``, the degraded loop, under both policies — with
+  an empty :class:`~repro.faults.FaultModel` it is the fault-free FIFO
+  oracle too.
+
+The differential fuzz harness in ``tests/properties/test_engine_fuzz.py``
+extends these with random draws.
 """
 
-import inspect
 import json
 
+import numpy as np
 import pytest
 
+from repro.bounds import certify
 from repro.faults import FaultModel
 from repro.networks import (
     Hypercube,
@@ -25,22 +33,13 @@ from repro.networks import (
     Torus2D,
 )
 from repro.routing import Permutation, bit_reversal
-from repro.bounds import certify
-from repro.sim import (
-    ENGINE_BACKENDS,
-    PlanCache,
-    numpy_route_core,
-    resolve_backend,
-    route_demands,
-    route_permutation,
-)
-from repro.sim._reference import reference_route_core
-from repro.sim.degraded import route_core_degraded
+from repro.sim import route_demands, route_permutation
+from repro.sim._reference import reference_route_core, route_core_degraded
 from repro.sim.engine import _route_core
 from repro.sim.plancache import CachedPlan
 from repro.sim.routers import router_for
-from repro.sim.task import build_topology, build_workload
 from repro.sim.schedule import ScheduleError
+from repro.sim.task import build_topology, build_workload
 
 TOPOLOGIES = [
     Mesh2D(4),
@@ -53,13 +52,26 @@ TOPOLOGIES = [
 ]
 IDS = [f"{type(t).__name__}-{t.num_nodes}" for t in TOPOLOGIES]
 
-BACKENDS = ["numpy"]
+#: The id names the one core, the NumPy structure-of-arrays loop.
+CORES = ["numpy"]
 
 
 def run_core(core, topology, sources, dests, **kwargs):
     router = router_for(topology)
     max_steps = 100 * (10 * topology.diameter + 10 * topology.num_nodes)
     return core(topology, sources, dests, router, max_steps, **kwargs)
+
+
+def run_oracle(topology, sources, dests, *, arbitration="overtaking",
+               fault_model=None, **kwargs):
+    """The degraded oracle; no model means an empty one (fault-free)."""
+    router = router_for(topology)
+    max_steps = 100 * (10 * topology.diameter + 10 * topology.num_nodes)
+    return route_core_degraded(
+        topology, sources, dests, router, max_steps,
+        fault_model if fault_model is not None else FaultModel(),
+        arbitration=arbitration, **kwargs,
+    )
 
 
 def assert_bit_identical(got, want):
@@ -74,71 +86,32 @@ def assert_bit_identical(got, want):
 
 
 class TestRegistry:
-    def test_indexed_resolves_to_engine_core(self):
-        assert resolve_backend("indexed") is _route_core
-
-    def test_numpy_resolves(self):
-        assert resolve_backend("numpy") is numpy_route_core
-
-    def test_unknown_backend_is_a_value_error(self):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_backend("fortran")
-
-    def test_registry_and_availability(self):
-        """Two cores, both always available, both taking a fault model."""
-        assert list(ENGINE_BACKENDS) == ["indexed", "numpy"]
-        for name in ENGINE_BACKENDS:
-            params = inspect.signature(resolve_backend(name)).parameters
-            assert params["fault_model"].default is None
-            assert params["on_fault"].default is None
-
-    def test_degraded_resolution(self):
-        """One resolver for faulted runs too: the indexed core hands an
-        enabled model to the indexed degraded loop, the NumPy core routes
-        it itself, and both give that loop's output."""
-        model = FaultModel(drop_prob=0.3, retry_limit=2, seed=5)
-        for topology in (Mesh2D(4), Hypermesh2D(4)):
-            want = run_degraded(
-                route_core_degraded, topology, model, arbitration="fifo"
-            )
-            for name in ENGINE_BACKENDS:
-                got = run_degraded(
-                    resolve_backend(name), topology, model, arbitration="fifo"
-                )
-                assert_bit_identical(got, want)
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_backend("fortran")
-
-    def test_missing_numba_is_a_clear_error(self):
-        """The numba backend is gone: its name is an unknown core."""
-        with pytest.raises(ValueError, match="unknown engine backend 'numba'"):
-            resolve_backend("numba")
-        with pytest.raises(ValueError, match="unknown engine backend 'numba'"):
-            route_permutation(Mesh2D(2), bit_reversal(4), backend="numba")
-
     def test_bad_arbitration_message_identical(self):
         topo = Mesh2D(2)
         router = router_for(topo)
         with pytest.raises(ValueError, match="unknown arbitration") as a:
             _route_core(topo, [0], [3], router, 10, arbitration="magic")
         with pytest.raises(ValueError, match="unknown arbitration") as b:
-            numpy_route_core(topo, [0], [3], router, 10, arbitration="magic")
+            route_core_degraded(
+                topo, [0], [3], router, 10, FaultModel(), arbitration="magic"
+            )
         assert str(a.value) == str(b.value)
 
     def test_bad_arbitration_raises_on_every_faulted_core(self):
-        """Every core, the indexed degraded loop included, rejects an
-        unknown policy with the engine's named error instead of routing
-        it as overtaking."""
+        """The core and the degraded oracle reject an unknown policy with
+        the engine's named error instead of routing it as overtaking."""
         topo = Mesh2D(4)
         model = FaultModel(drop_prob=0.2, retry_limit=4, seed=3)
+        src, dst = list(range(16)), bit_reversal(16).destinations.tolist()
         messages = set()
-        for core in (route_core_degraded, _route_core, numpy_route_core):
+        for run in (
+            lambda: run_core(_route_core, topo, src, dst, fault_model=model,
+                             arbitration="bogus"),
+            lambda: run_oracle(topo, src, dst, fault_model=model,
+                               arbitration="bogus"),
+        ):
             with pytest.raises(ValueError, match="unknown arbitration") as e:
-                run_core(
-                    core, topo, list(range(16)),
-                    bit_reversal(16).destinations.tolist(),
-                    fault_model=model, arbitration="bogus",
-                )
+                run()
             messages.add(str(e.value))
         assert messages == {
             "unknown arbitration policy 'bogus'; "
@@ -146,26 +119,22 @@ class TestRegistry:
         }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", CORES)
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
 class TestCoreEquivalence:
     def test_permutations_both_arbitrations(self, topology, backend, rng):
-        core = resolve_backend(backend)
         n = topology.num_nodes
         for _ in range(2):
             perm = Permutation.random(n, rng)
             src, dst = list(range(n)), perm.destinations.tolist()
             for arbitration in ("overtaking", "fifo"):
                 got = run_core(
-                    core, topology, src, dst, arbitration=arbitration
-                )
-                want = run_core(
                     _route_core, topology, src, dst, arbitration=arbitration
                 )
+                want = run_oracle(topology, src, dst, arbitration=arbitration)
                 assert_bit_identical(got, want)
 
     def test_h_relations_and_hotspot(self, topology, backend, rng):
-        core = resolve_backend(backend)
         n = topology.num_nodes
         cases = [
             (rng.integers(0, n, 3 * n).tolist(), rng.integers(0, n, 3 * n).tolist()),
@@ -175,20 +144,17 @@ class TestCoreEquivalence:
         for src, dst in cases:
             for arbitration in ("overtaking", "fifo"):
                 got = run_core(
-                    core, topology, src, dst, arbitration=arbitration
-                )
-                want = run_core(
                     _route_core, topology, src, dst, arbitration=arbitration
                 )
+                want = run_oracle(topology, src, dst, arbitration=arbitration)
                 assert_bit_identical(got, want)
 
     def test_matches_seed_reference(self, topology, backend, rng):
-        core = resolve_backend(backend)
         n = topology.num_nodes
         perm = Permutation.random(n, rng)
         src, dst = list(range(n)), perm.destinations.tolist()
         assert_bit_identical(
-            run_core(core, topology, src, dst),
+            run_core(_route_core, topology, src, dst),
             run_core(reference_route_core, topology, src, dst),
         )
 
@@ -201,42 +167,37 @@ def _plan_payload(steps, stats):
 @pytest.mark.parametrize("n", [256, 1024])
 @pytest.mark.parametrize("name", ["mesh2d", "hypercube", "hypermesh2d"])
 def test_cores_match_the_seed_loop_at_scale(name, n):
-    """Every core, and the default dispatch, against the seed loop at
-    N = 256 and 1,024 on the campaign's seeded dense permutation and
-    2*sqrt(N)-packet sparse h-relation: identical steps, stats and
-    plan-blob payloads, and a step count that clears its certified floor.
-    A dense permutation at N = 1,024 is where the dispatch first picks the
-    NumPy core (``NUMPY_MIN_PACKETS``)."""
+    """The core, called directly and through ``route_demands``, against
+    the seed loop at N = 256 and 1,024 on the campaign's seeded dense
+    permutation and 2*sqrt(N)-packet sparse h-relation: identical steps,
+    stats and plan-blob payloads, and a step count that clears its
+    certified floor."""
     topology = build_topology(name, n)
     router = router_for(topology)
     max_steps = 16 * (10 * topology.diameter + 10 * n)
     for workload in ("dense-permutation", "sparse-hrelation"):
         srcs, dsts = build_workload(workload, n, seed=99)
         want = reference_route_core(topology, srcs, dsts, router, max_steps)
-        payload = _plan_payload(*want)
-        for backend in ENGINE_BACKENDS:
-            got = resolve_backend(backend)(topology, srcs, dsts, router,
-                                           max_steps)
-            assert_bit_identical(got, want)
-            assert _plan_payload(*got) == payload
+        got = _route_core(topology, srcs, dsts, router, max_steps)
+        assert_bit_identical(got, want)
+        assert _plan_payload(*got) == _plan_payload(*want)
         routed = route_demands(topology, list(zip(srcs, dsts)), cache=False)
         assert_bit_identical((list(routed.steps), routed.stats), want)
         cert = certify(topology, list(zip(srcs, dsts)), want[1].steps)
         assert 0 <= cert.bound <= want[1].steps
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", CORES)
 class TestBackendSemantics:
     def test_max_steps_guard_identical(self, backend):
-        core = resolve_backend(backend)
         topo = Mesh2D(4)
         perm = bit_reversal(16)
         args = (topo, list(range(16)), perm.destinations.tolist(),
                 router_for(topo), 2)
         with pytest.raises(ScheduleError, match="undelivered") as got:
-            core(*args)
-        with pytest.raises(ScheduleError, match="undelivered") as want:
             _route_core(*args)
+        with pytest.raises(ScheduleError, match="undelivered") as want:
+            reference_route_core(*args)
         assert str(got.value) == str(want.value)
 
     def test_on_step_and_timing(self, backend):
@@ -248,123 +209,28 @@ class TestBackendSemantics:
             seen.append((step, dict(moves), stats.steps))
 
         routed = route_permutation(
-            topo, perm, backend=backend, on_step=probe, timing=True,
-            cache=False,
+            topo, perm, on_step=probe, timing=True, cache=False,
         )
         assert len(seen) == routed.stats.steps
         assert [s for s, _, _ in seen] == list(range(routed.stats.steps))
         assert [m for _, m, _ in seen] == [dict(s) for s in routed.schedule.steps]
         assert len(routed.stats.per_step_seconds) == routed.stats.steps
 
-    def test_entry_points_accept_backend(self, backend):
-        topo = Hypermesh2D(4)
-        perm = bit_reversal(16)
-        via_perm = route_permutation(topo, perm, backend=backend, cache=False)
-        via_idx = route_permutation(
-            topo, perm, backend="indexed", cache=False
-        )
-        assert via_perm.schedule.steps == via_idx.schedule.steps
-        assert via_perm.stats == via_idx.stats
-        demands = [(i, int(perm.destinations[i])) for i in range(16)]
-        via_dem = route_demands(topo, demands, backend=backend, cache=False)
-        assert list(via_dem.steps) == list(via_idx.schedule.steps)
-
-    def test_fault_runs_honor_backend(self, backend, monkeypatch):
-        """Regression: ``backend=`` used to be ignored for fault runs (they
-        were pinned to the indexed degraded loop).  Now an enabled fault
-        model rides along to the selected core — and that core is
-        *actually executed* with it, not silently substituted."""
-        import repro.sim.engine as engine_mod
-
-        topo = Mesh2D(4)
-        perm = bit_reversal(16)
-        model = FaultModel(seed=3, drop_prob=0.2, retry_limit=4)
-        with_backend = route_permutation(
-            topo, perm, backend=backend, fault_model=model, cache=False
-        )
-        baseline = route_permutation(
-            topo, perm, backend="indexed", fault_model=model, cache=False
-        )
-        assert with_backend.schedule.steps == baseline.schedule.steps
-        assert with_backend.stats == baseline.stats
-
-        calls = []
-        real = numpy_route_core
-
-        def spy(*a, **k):
-            calls.append(k["fault_model"])
-            return real(*a, **k)
-
-        def resolve_spy(name):
-            core = resolve_backend(name)
-            return spy if core is real else core
-
-        monkeypatch.setattr(engine_mod, "resolve_backend", resolve_spy)
-        again = route_permutation(
-            topo, perm, backend="numpy", fault_model=model, cache=False
-        )
-        assert calls == [model], (
-            "backend='numpy' + fault_model must run the SoA core faulted"
-        )
-        assert again.stats == baseline.stats
-
     def test_fault_run_with_unsupported_backend_raises(self, backend):
+        """There is one core, so the entry points take no ``backend=``: a
+        caller naming a core fails loudly instead of being ignored."""
         topo = Mesh2D(4)
         perm = bit_reversal(16)
         model = FaultModel(seed=3, drop_prob=0.2, retry_limit=4)
-        with pytest.raises(ValueError, match="unknown engine backend"):
+        with pytest.raises(TypeError, match="backend"):
             route_permutation(
-                topo, perm, backend="cupy", fault_model=model, cache=False
+                topo, perm, backend=backend, fault_model=model, cache=False
             )
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            route_permutation(
-                topo, perm, backend="hx9", fault_model=model, cache=False
+        with pytest.raises(TypeError, match="backend"):
+            route_demands(
+                topo, [(0, 15)], backend=backend, fault_model=model,
+                cache=False,
             )
-
-
-class TestCrossBackendCache:
-    def test_numpy_plan_replays_on_indexed_and_vice_versa(self, rng):
-        """The backend is not part of the plan key: a plan recorded by one
-        backend is a cache hit for every other."""
-        for topo in (Mesh2D(4), Hypermesh2D(4)):
-            perm = Permutation.random(topo.num_nodes, rng)
-            cache = PlanCache()
-            first = route_permutation(topo, perm, backend="numpy", cache=cache)
-            assert cache.misses == 1
-            replay = route_permutation(
-                topo, perm, backend="indexed", cache=cache
-            )
-            assert cache.hits == 1
-            assert replay.schedule.steps == first.schedule.steps
-            assert replay.stats == first.stats
-
-    def test_identical_blob_payloads_per_backend(self, rng, tmp_path):
-        """Route the same problem under each backend into its own disk
-        cache: the recorded blobs must be byte-identical files."""
-        topo = Hypermesh2D(4)
-        perm = Permutation.random(topo.num_nodes, rng)
-        blobs = {}
-        for backend in ["indexed"] + BACKENDS:
-            root = tmp_path / backend
-            route_permutation(
-                topo, perm, backend=backend, cache=PlanCache(root)
-            )
-            paths = list(root.rglob("*.json"))
-            assert len(paths) == 1
-            blobs[backend] = (paths[0].name, paths[0].read_bytes())
-        names = {name for name, _ in blobs.values()}
-        payloads = {payload for _, payload in blobs.values()}
-        assert len(names) == 1, "digest (file name) must not depend on backend"
-        assert len(payloads) == 1, "blob bytes must not depend on backend"
-
-    def test_unknown_backend_fails_before_cache_lookup(self, rng):
-        cache = PlanCache()
-        perm = Permutation.random(16, rng)
-        route_permutation(Mesh2D(4), perm, cache=cache)  # warm the cache
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            route_permutation(Mesh2D(4), perm, backend="hx", cache=cache)
-        # The bad-backend call counted no hit: it failed before lookup.
-        assert cache.hits == 0
 
 
 # Fault configurations exercising every degraded-core code path: structural
@@ -387,23 +253,24 @@ HYPER_FAULTS = [
 
 
 def run_degraded(core, topology, model, *, arbitration, seed=7, **kwargs):
-    import numpy as np
-
     n = topology.num_nodes
     rng = np.random.default_rng(seed)
     dests = [int(x) for x in rng.permutation(n)]
-    router = router_for(topology)
-    max_steps = 100 * (10 * topology.diameter + 10 * n)
-    return core(
-        topology, list(range(n)), dests, router, max_steps,
-        fault_model=model, arbitration=arbitration, **kwargs
+    if core is route_core_degraded:
+        return run_oracle(
+            topology, list(range(n)), dests, fault_model=model,
+            arbitration=arbitration, **kwargs,
+        )
+    return run_core(
+        core, topology, list(range(n)), dests,
+        fault_model=model, arbitration=arbitration, **kwargs,
     )
 
 
 @pytest.mark.parametrize("arbitration", ["overtaking", "fifo"])
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
 class TestDegradedEquivalence:
-    """The SoA core with a fault model is bit-identical to the indexed degraded loop
+    """The core with a fault model is bit-identical to the degraded oracle
     on every topology family, both arbitration policies, and every fault
     mechanism — including the seeded drop-draw sequence, whose retry/drop
     accounting must land in :class:`RoutingStats` identically."""
@@ -419,7 +286,7 @@ class TestDegradedEquivalence:
                 route_core_degraded, topology, model, arbitration=arbitration
             )
             got = run_degraded(
-                numpy_route_core, topology, model, arbitration=arbitration
+                _route_core, topology, model, arbitration=arbitration
             )
             assert_bit_identical(got, want)
 
@@ -429,7 +296,7 @@ class TestDegradedEquivalence:
             route_core_degraded, topology, model, arbitration=arbitration
         )
         _, got = run_degraded(
-            numpy_route_core, topology, model, arbitration=arbitration
+            _route_core, topology, model, arbitration=arbitration
         )
         assert got.retried == want.retried
         assert got.dropped == want.dropped
@@ -447,7 +314,7 @@ class TestDegradedEquivalence:
             on_fault=lambda *a: want_events.append(a),
         )
         run_degraded(
-            numpy_route_core, topology, model, arbitration=arbitration,
+            _route_core, topology, model, arbitration=arbitration,
             on_fault=lambda *a: got_events.append(a),
         )
         assert got_events == want_events
@@ -455,6 +322,8 @@ class TestDegradedEquivalence:
 
 class TestDegradedEngineDispatch:
     def test_numpy_backend_via_engine_matches_indexed(self, rng):
+        """Faulted runs through the entry point match the degraded
+        oracle, both policies."""
         for topo in (Mesh2D(4), Hypermesh2D(4)):
             perm = Permutation.random(topo.num_nodes, rng)
             model = (
@@ -463,45 +332,15 @@ class TestDegradedEngineDispatch:
                 else FaultModel(degraded_nets=(0,), drop_prob=0.2,
                                 retry_limit=3, seed=7)
             )
-            a = route_permutation(
-                topo, perm, backend="indexed", fault_model=model, cache=False
-            )
-            b = route_permutation(
-                topo, perm, backend="numpy", fault_model=model, cache=False
-            )
-            for x, y in zip(a.schedule.steps, b.schedule.steps):
-                assert list(x.items()) == list(y.items())
-            assert a.stats == b.stats
-
-    def test_degraded_plans_cache_across_backends(self, rng):
-        """Fault fingerprint is in the plan key, backend is not: a degraded
-        plan recorded under one backend replays under the other."""
-        topo = Mesh2D(4)
-        perm = Permutation.random(16, rng)
-        model = FaultModel(link_fail_fraction=0.15, seed=5)
-        cache = PlanCache()
-        first = route_permutation(
-            topo, perm, backend="numpy", fault_model=model, cache=cache
-        )
-        assert cache.misses == 1
-        replay = route_permutation(
-            topo, perm, backend="indexed", fault_model=model, cache=cache
-        )
-        assert cache.hits == 1
-        assert replay.schedule.steps == first.schedule.steps
-        assert replay.stats == first.stats
-
-
-class TestCupyUnavailable:
-    """The cupy backend is gone: its name is an unknown core."""
-
-    def test_missing_cupy_is_a_clear_error(self):
-        with pytest.raises(ValueError, match="unknown engine backend 'cupy'"):
-            resolve_backend("cupy")
-        with pytest.raises(ValueError, match="unknown engine backend 'cupy'"):
-            route_permutation(
-                Mesh2D(2), bit_reversal(4), backend="cupy", cache=False
-            )
-
-    def test_cupy_absent_from_available_backends(self):
-        assert "cupy" not in ENGINE_BACKENDS
+            src, dst = list(range(topo.num_nodes)), perm.destinations.tolist()
+            for arbitration in ("overtaking", "fifo"):
+                routed = route_permutation(
+                    topo, perm, fault_model=model, arbitration=arbitration,
+                    cache=False,
+                )
+                want = run_oracle(
+                    topo, src, dst, fault_model=model, arbitration=arbitration
+                )
+                assert_bit_identical(
+                    (list(routed.schedule.steps), routed.stats), want
+                )

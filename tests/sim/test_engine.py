@@ -5,7 +5,7 @@ import pytest
 
 from repro.networks import Hypercube, Hypermesh2D, Mesh2D, Torus2D
 from repro.routing import Permutation, bit_reversal, vector_reversal
-from repro.sim import replay_schedule, route_permutation
+from repro.sim import route_permutation
 from repro.sim.schedule import ScheduleError
 
 
@@ -111,15 +111,11 @@ class TestGuards:
         with pytest.raises(ScheduleError, match="undelivered"):
             route_permutation(Mesh2D(4), perm, max_steps=1)
 
-    def test_replay_schedule_returns_steps(self):
-        perm = Permutation.from_mapping({0: 1, 1: 0}, 9)
-        sched = route_permutation(Mesh2D(3), perm).schedule
-        assert replay_schedule(sched) == sched.num_steps
-
     def test_shared_net_helper_rejects_point_to_point(self):
-        # An explicit TypeError, not an assert: ``python -O`` must not turn
-        # the misuse into silent nonsense.
-        from repro.sim.engine import _shared_net_id
+        # The seed loop's net lookup raises an explicit TypeError, not an
+        # assert: ``python -O`` must not turn the misuse into silent
+        # nonsense.
+        from repro.sim._reference import _shared_net_id
 
         with pytest.raises(TypeError, match="HypergraphTopology"):
             _shared_net_id(Mesh2D(3), 0, 1)

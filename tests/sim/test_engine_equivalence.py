@@ -1,11 +1,11 @@
 """The engine-equivalence guarantee, enforced.
 
-The indexed arbitration engine in ``repro.sim.engine`` must produce
+The engine's arbitration core in ``repro.sim.engine`` must produce
 **bit-identical** schedules and statistics to the seed loop preserved in
 ``repro.sim._reference`` — same step dicts, same counters — on every
 topology family, for permutations and h-relations alike.  These tests are
-the contract the rebuild was done under; if one fails, the optimization
-changed observable routing behaviour and must be fixed, not the test.
+the contract the core was built under; if one fails, the core changed
+observable routing behaviour and must be fixed, not the test.
 """
 
 import numpy as np
@@ -98,7 +98,7 @@ def test_hotspot_gather_identical(topology, rng):
 
 
 def test_sparse_demands_identical(rng):
-    """Few packets on a big network — the active-worklist path — still match."""
+    """Few packets on a big network — mostly empty queues — still match."""
     topology = Mesh2D(16)
     n = topology.num_nodes
     sources = rng.integers(0, n, size=12).tolist()
@@ -146,8 +146,8 @@ def test_disk_replay_identical_to_live(topology, rng, tmp_path):
 @pytest.mark.parametrize("name", ["mesh2d", "torus2d", "hypercube",
                                   "hypermesh2d"])
 def test_replay_identical_to_live_at_1024(name, tmp_path):
-    """At 1,024 packets the engine routes on the NumPy core; its recorded
-    plans replay from both tiers exactly as a live run routes."""
+    """At 1,024 packets the core's recorded plans replay from both tiers
+    exactly as a live run routes."""
     from repro.sim import PlanCache, route_permutation
     from repro.sim.task import build_topology
 
@@ -168,7 +168,7 @@ def test_replay_identical_to_live_at_1024(name, tmp_path):
 
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
 def test_next_hop_array_matches_scalar(topology, rng):
-    """The engine's batched hop refill relies on next_hop_array answering
+    """The core's batched next hops rely on next_hop_array answering
     exactly like next_hop, elementwise, for every (current, dest) pair."""
     router = router_for(topology)
     n = topology.num_nodes
@@ -184,7 +184,8 @@ def test_next_hop_array_matches_scalar(topology, rng):
 
 
 def test_max_steps_guard_identical():
-    """Both engines refuse an exhausted step budget with ScheduleError."""
+    """The core and the seed loop refuse an exhausted step budget with
+    ScheduleError."""
     from repro.sim.schedule import ScheduleError
 
     topology = Mesh2D(4)

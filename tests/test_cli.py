@@ -263,15 +263,15 @@ class TestTraceCommand:
         assert "unknown trace target" in capsys.readouterr().err
 
     def test_numpy_backend_traces_identically(self, tmp_path, capsys):
-        """At --n 1024 the engine picks the NumPy core by rule; its trace
-        must match a library run forced onto the indexed loop."""
+        """At --n 1024 the CLI's trace must match a library run of the
+        same workload under the same probe."""
         from repro.obs import (
             JsonlTraceFile, LinkUtilizationProbe, Tracer, read_trace,
         )
         from repro.sim import route_demands
         from repro.sim.task import build_topology, build_workload
 
-        a, b = tmp_path / "cli.jsonl", tmp_path / "indexed.jsonl"
+        a, b = tmp_path / "cli.jsonl", tmp_path / "library.jsonl"
         assert main(["trace", "mesh2d", "--n", "1024", "--out", str(a)]) == 0
         topology = build_topology("mesh2d", 1024)
         sources, dests = build_workload("bit-reversal", 1024, 0)
@@ -280,14 +280,13 @@ class TestTraceCommand:
             topology, sources, dests=dests, tracer=tracer
         )
         route_demands(
-            topology, list(zip(sources, dests)), backend="indexed",
-            on_step=probe, timing=True,
+            topology, list(zip(sources, dests)), on_step=probe, timing=True,
         )
         probe.finish()
         tracer.close()
-        # Same workload, same contract: the two cores must emit the same
-        # step/link events (host timing aside, which read_trace keeps out
-        # of the typed payloads compared here).
+        # Same workload, same core: both runs must emit the same step/link
+        # events (host timing aside, which read_trace keeps out of the
+        # typed payloads compared here).
         strip = {"seconds", "total_seconds", "mean_step_seconds"}
         events_a = [
             (e.type, {k: v for k, v in e.data.items() if k not in strip})

@@ -13,8 +13,6 @@ Two checks, both run by the CI docs job and by
 
    * the "Event types" section of ``docs/OBSERVABILITY.md`` comes from
      ``repro.obs.events`` (:data:`EVENT_TYPES`);
-   * the engine-cores table in ``docs/API.md`` comes from
-     ``repro.sim.backends`` (:data:`ENGINE_BACKENDS`);
    * the service endpoint table in ``docs/API.md`` comes from
      ``repro.service.app`` (:data:`ENDPOINTS`);
    * the paper-sections table in ``docs/API.md`` comes from
@@ -50,9 +48,6 @@ REPO = Path(__file__).resolve().parent.parent
 OBSERVABILITY = REPO / "docs" / "OBSERVABILITY.md"
 API = REPO / "docs" / "API.md"
 BEGIN = "<!-- BEGIN GENERATED: event types (tools/check_docs.py --write) -->"
-BACKENDS_BEGIN = (
-    "<!-- BEGIN GENERATED: engine backends (tools/check_docs.py --write) -->"
-)
 SERVICE_BEGIN = (
     "<!-- BEGIN GENERATED: service endpoints (tools/check_docs.py --write) -->"
 )
@@ -129,24 +124,6 @@ def render_event_types() -> str:
     return "\n".join(lines)
 
 
-def render_engine_backends() -> str:
-    """The canonical engine-cores table, straight from the registry."""
-    from repro.sim.backends import ENGINE_BACKENDS, NUMPY_MIN_PACKETS
-
-    lines = [
-        BACKENDS_BEGIN,
-        "",
-        f"`NUMPY_MIN_PACKETS = {NUMPY_MIN_PACKETS}`",
-        "",
-        "| backend | description |",
-        "|---|---|",
-    ]
-    for name, description in ENGINE_BACKENDS.items():
-        lines.append(f"| `{name}` | {description} |")
-    lines += ["", END]
-    return "\n".join(lines)
-
-
 def render_service_endpoints() -> str:
     """The canonical service endpoint table, from ``repro.service.app``."""
     from repro.service.app import ENDPOINTS
@@ -213,8 +190,6 @@ def render_bound_families() -> str:
 #: ``check_contract`` diffs each against its renderer; ``--write`` rewrites.
 GENERATED_BLOCKS = (
     (OBSERVABILITY, BEGIN, render_event_types, "repro.obs.events.EVENT_TYPES"),
-    (API, BACKENDS_BEGIN, render_engine_backends,
-     "repro.sim.backends.ENGINE_BACKENDS"),
     (API, SERVICE_BEGIN, render_service_endpoints,
      "repro.service.app.ENDPOINTS"),
     (API, SECTIONS_BEGIN, render_paper_sections,
