@@ -196,7 +196,8 @@ class RoutingService:
         The listening socket closes immediately; route submissions arriving
         on already-accepted connections are answered 503; every request
         already past admission runs to completion (bounded by
-        ``drain_timeout``) before the pool is abandoned.
+        ``drain_timeout``) before the pool is closed: a worker still busy
+        then is killed, and every worker is reaped before this returns.
         """
         self._draining = True
         if self._server is not None:
@@ -205,6 +206,7 @@ class RoutingService:
         pending = {t for t in self._handlers if not t.done()}
         if pending:
             await asyncio.wait(pending, timeout=drain_timeout)
+        await asyncio.to_thread(self.pool.close)
 
     @property
     def draining(self) -> bool:

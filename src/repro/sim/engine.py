@@ -241,7 +241,7 @@ def _claimed(codes: np.ndarray, granted: np.ndarray) -> np.ndarray:
     """Elementwise: is ``codes[i]`` one of the (non-empty) ``granted``
     codes?  ``np.isin``'s mask by binary search over the sorted grants:
     ``np.isin`` itself sorts through ``np.unique`` (which on NumPy 2.x
-    imports ``numpy.ma``, a cost a forked service worker repays per job),
+    imports ``numpy.ma``, a cost every new service worker pays again),
     and its ``kind="table"`` allocates one byte per code in the grants'
     range — up to ``nets × n``, 8 MB on an 8^4 hypermesh."""
     ranked = np.sort(granted)

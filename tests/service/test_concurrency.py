@@ -4,7 +4,7 @@
   engine run; every waiter gets the same digest and stats;
 * timeout — a cold computation past its budget answers HTTP 504 and the
   pool worker is *actually killed* (``pool.killed`` advances), and the
-  pool keeps serving afterwards;
+  pool keeps serving afterwards on a fresh worker (``pool.spawned``);
 * graceful shutdown — in-flight requests drain to real responses while
   new connections are refused;
 * draining flag — route submissions on a draining service answer 503.
@@ -88,14 +88,18 @@ class TestTimeout:
         body = client.stats().body
         assert body["service"]["timeouts"] == 1
         assert body["pool"]["killed"] == 1
+        assert body["pool"]["spawned"] == 1
         assert body["service"]["inflight"] == 0
 
         # The pool survives the kill: the same job with a sane budget
-        # computes cold (the killed run never recorded a plan).
+        # computes cold (the killed run never recorded a plan) on the
+        # slot's fresh worker.
         retry = client.route(SLOW_JOB)
         assert retry.ok
         assert retry.body["source"] == "cold"
-        assert client.stats().body["pool"]["killed"] == 1
+        pool = client.stats().body["pool"]
+        assert pool["killed"] == 1
+        assert pool["spawned"] == 2
 
 
 class TestShutdown:

@@ -1,8 +1,10 @@
 """A cold job imports no module the server had not already imported.
 
-``repro serve`` forks a fresh worker per cold job, so every module the
-engine imports lazily on the way is imported again in every job (NumPy's
-``numpy.ma``, pulled in by ``np.unique`` on NumPy 2.x, costs ~16 ms).
+``repro serve`` keeps one worker per slot, forked from the server on the
+slot's first cold job and again after a timeout kill or a crash, so every
+module the engine imports lazily on the way is imported again by each new
+worker, on its first job (NumPy's ``numpy.ma``, pulled in by ``np.unique``
+on NumPy 2.x, costs ~16 ms).
 The check runs in a fresh interpreter, because this test session has long
 since imported everything: import the service, validate and key one job
 per route-cold shape as the event loop does, snapshot ``sys.modules``,
