@@ -125,6 +125,19 @@ class TestOneWorkerPerSlot:
         assert counters["killed"] == 1
         assert counters["spawned"] == 2
 
+    def test_a_worker_killed_while_idle_is_replaced(self):
+        async def scenario(pool):
+            before = await pool.submit(worker_pid, {})
+            os.kill(before, signal.SIGKILL)
+            os.waitid(os.P_PID, before, os.WEXITED | os.WNOWAIT)  # not reaped
+            after = await pool.submit(worker_pid, {})
+            return before, after, pool.counters()
+
+        before, after, counters = drive(scenario, max_workers=1)
+        assert after != before
+        assert gone(before)
+        assert (counters["crashed"], counters["spawned"]) == (1, 2)
+
     def test_concurrent_jobs_get_their_own_workers(self):
         async def scenario(pool):
             return await asyncio.gather(
