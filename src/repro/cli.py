@@ -492,11 +492,12 @@ def _certify_cell(topology_name: str, n: int, workload: str, seed: int) -> dict:
 
     Returns the certified payload (``steps``/``bound``/``bound_ratio``/
     ``bound_kind``); raises :class:`repro.bounds.BoundViolation` when the
-    floor is undercut.
+    floor is undercut, and :class:`repro.fft.ape.SpectrumMismatch` when
+    the APE FFT computes a wrong spectrum.
     """
     from .algos.hypersystolic import run_commavoiding_task
     from .bounds import certify_program
-    from .fft.ape import build_ape_fft_program, parallel_fft_ape
+    from .fft.ape import build_ape_fft_program, check_spectrum, parallel_fft_ape
     from .sim.task import build_topology, run_routing_task
 
     if workload == "ape-fft":
@@ -506,7 +507,7 @@ def _certify_cell(topology_name: str, n: int, workload: str, seed: int) -> dict:
         rng = np.random.default_rng(seed + n)
         samples = rng.standard_normal(n)
         result = parallel_fft_ape(topology, samples)
-        assert np.allclose(result.spectrum, np.fft.fft(samples))
+        check_spectrum(result.spectrum, samples, f"{topology_name} n={n}")
         cert = certify_program(
             topology,
             build_ape_fft_program(topology),
@@ -552,11 +553,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     Every (topology, n, workload) cell is routed (or, for the staged
     workloads, executed on the SIMD machine) and its measured step count
     certified against the :mod:`repro.bounds` floor.  A cell that
-    undercuts its floor prints a ``VIOLATION`` row and the command exits
-    1 — this is CI's cert-gate.  Unknown names exit 2 with the message on
-    stderr, like every other invalid argument.
+    undercuts its floor prints a ``VIOLATION`` row, an APE FFT cell with a
+    wrong spectrum prints a ``SpectrumMismatch`` row, and either makes the
+    command exit 1 — this is CI's cert-gate.  Unknown names exit 2 with
+    the message on stderr, like every other invalid argument.
     """
     from .bounds import BoundViolation
+    from .fft.ape import SpectrumMismatch
     from .sim.task import TOPOLOGY_BUILDERS, WORKLOAD_BUILDERS
     from .viz.series import format_table
 
@@ -580,6 +583,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     rows = []
     violations = 0
+    mismatches = []
     for topology_name in args.topologies:
         for n in args.sizes:
             for workload in args.workloads:
@@ -596,6 +600,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                          cert.bound, "-", "VIOLATION"]
                     )
                     continue
+                except SpectrumMismatch as exc:
+                    mismatches.append(str(exc))
+                    rows.append(
+                        [topology_name, n, workload, "-", "-", "-",
+                         type(exc).__name__]
+                    )
+                    continue
                 ratio = cell["bound_ratio"]
                 rows.append(
                     [topology_name, n, workload, cell["steps"], cell["bound"],
@@ -607,11 +618,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         ["topology", "n", "workload", "achieved", "bound", "ratio", "binding"],
         rows,
     ))
+    for message in mismatches:
+        print(f"error: SpectrumMismatch: {message}", file=sys.stderr)
     if violations:
         print(
             f"error: {violations} cell(s) undercut their analytic floor",
             file=sys.stderr,
         )
+    if violations or mismatches:
         return 1
     print("every cell holds: achieved >= bound")
     return 0

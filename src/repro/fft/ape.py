@@ -44,7 +44,9 @@ from .twiddle import twiddle
 
 __all__ = [
     "ApeFftResult",
+    "SpectrumMismatch",
     "build_ape_fft_program",
+    "check_spectrum",
     "parallel_fft_ape",
     "run_ape_fft_task",
 ]
@@ -163,6 +165,23 @@ class ApeFftResult:
     computation_steps: int
 
 
+class SpectrumMismatch(AssertionError):
+    """A four-step FFT whose spectrum differs from ``numpy.fft.fft`` of
+    its input: its step count certifies nothing.  Raised explicitly, so
+    the check survives ``python -O``."""
+
+
+def check_spectrum(
+    spectrum: np.ndarray, samples: np.ndarray, label: str
+) -> None:
+    """Raise :class:`SpectrumMismatch` naming ``label`` unless
+    ``spectrum`` is ``numpy.fft.fft(samples)`` (to ``np.allclose``)."""
+    if not np.allclose(spectrum, np.fft.fft(samples)):
+        raise SpectrumMismatch(
+            f"four-step FFT diverged from numpy.fft.fft on {label}"
+        )
+
+
 def parallel_fft_ape(
     topology: Topology,
     samples: np.ndarray,
@@ -212,11 +231,7 @@ def run_ape_fft_task(params: dict) -> dict:
     result = parallel_fft_ape(
         topology, samples, validate=bool(params.get("validate"))
     )
-    if not np.allclose(result.spectrum, np.fft.fft(samples)):
-        raise AssertionError(
-            f"four-step FFT diverged from numpy.fft.fft on "
-            f"{topology_name} n={n}"
-        )
+    check_spectrum(result.spectrum, samples, f"{topology_name} n={n}")
     cert = certify_program(
         topology,
         build_ape_fft_program(topology),

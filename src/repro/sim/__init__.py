@@ -11,6 +11,7 @@ from .engine import (
 )
 from .machine import Compute, Exchange, Permute, ProgramOp, RunResult, SimdMachine
 from .plancache import (
+    MoveLog,
     PlanCache,
     PlanKey,
     disk_cache,
@@ -63,6 +64,7 @@ __all__ = [
     "route_demands",
     "RoutedDemands",
     "FaultCallback",
+    "MoveLog",
     "PlanCache",
     "PlanKey",
     "plan_key",

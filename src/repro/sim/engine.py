@@ -45,10 +45,13 @@ The core and the equivalence guarantee
 Every job, fault-free or faulted, runs on one arbitration loop,
 :func:`_route_core`: a structure-of-arrays core that holds packet
 positions, destinations, next hops and the queue priority order in flat
-``int64`` arrays and advances whole steps at a time.  None of this changes
-behaviour: the core produces **bit-identical** schedules (step dicts in
-insertion order) and statistics to the two step-loop oracles kept in
-:mod:`repro.sim._reference` — the frozen seed loop (overtaking,
+``int64`` arrays and advances whole steps at a time.  It records a run as
+a :class:`~repro.sim.plancache.MoveLog` (each step's granted packet ids
+and hops, in grant order), the same arrays the plan cache stores; step
+dicts are a view of the log built on read.  None of this changes
+behaviour: the core produces **bit-identical** schedules (the log's step
+dicts, in insertion order) and statistics to the two step-loop oracles
+kept in :mod:`repro.sim._reference` — the frozen seed loop (overtaking,
 fault-free) and the degraded loop (both policies; with an empty
 :class:`~repro.faults.model.FaultModel` it is also the fault-free FIFO
 oracle).  The equivalence suites and the differential fuzz harness
@@ -86,11 +89,11 @@ Routing is a pure function of ``(topology, demands, router, arbitration)``,
 so both entry points accept a ``cache=`` argument (see
 :mod:`repro.sim.plancache`): ``"memory"``/``"disk"``/a path/a
 :class:`~repro.sim.plancache.PlanCache` consult the cache before
-arbitrating and record the schedule after a miss; a hit replays the stored
-steps and counters **bit-identically** (the equivalence suite enforces
-this).  ``cache=None`` (the default) and ``cache=False`` route live; runs
-with ``on_step`` or ``timing`` instrumentation always route live (counted
-as ``bypassed``).
+arbitrating and record the run's move log after a miss; a hit replays the
+stored log and counters **bit-identically** (the equivalence suite
+enforces this).  ``cache=None`` (the default) and ``cache=False`` route
+live; runs with ``on_step`` or ``timing`` instrumentation always route
+live (counted as ``bypassed``).
 
 Fault injection
 ---------------
@@ -112,6 +115,7 @@ See docs/FAULTS.md for the full semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 from typing import Callable, Mapping, Sequence
 
@@ -122,6 +126,7 @@ from ..faults.routing import FaultAwareRouter
 from ..networks.base import ChannelModel, HypergraphTopology, Topology
 from ..routing.permutation import Permutation
 from . import plancache as _plancache
+from .plancache import MoveLog
 from .routers import Router, router_for
 from .schedule import CommSchedule, ScheduleError
 from .stats import RoutingStats
@@ -200,14 +205,31 @@ class RoutedPermutation:
 class RoutedDemands:
     """Result of adaptively routing an arbitrary packet multiset.
 
+    Packet ``k`` is ``(sources[k], dests[k])``.  ``moves`` is the run's
+    recorded form, a :class:`~repro.sim.plancache.MoveLog`; ``steps`` and
+    ``demands`` are views built from it and from the endpoint lists on
+    first read, so a caller that reads only ``stats`` never builds them.
     ``steps[s][packet_index] = node moved to during step s`` — the same
     time-expanded encoding as :class:`CommSchedule`, but packets are
     identified by their index into ``demands`` and may start anywhere.
     """
 
-    demands: tuple[tuple[int, int], ...]
-    steps: tuple[dict[int, int], ...]
+    sources: Sequence[int]
+    dests: Sequence[int]
+    moves: MoveLog
     stats: RoutingStats
+
+    @cached_property
+    def steps(self) -> tuple[dict[int, int], ...]:
+        """One ``{packet: node}`` dict per step, in grant order."""
+        return tuple(self.moves.dicts())
+
+    @cached_property
+    def demands(self) -> tuple[tuple[int, int], ...]:
+        """The ``(source, destination)`` pair of every packet."""
+        return tuple(
+            (int(s), int(d)) for s, d in zip(self.sources, self.dests)
+        )
 
 
 def _check_arbitration(arbitration: str) -> None:
@@ -252,10 +274,13 @@ def _claimed(codes: np.ndarray, granted: np.ndarray) -> np.ndarray:
 def _step_moves(
     ints: list[int], pids: np.ndarray, hops: np.ndarray
 ) -> dict[int, int]:
-    """One step's ``{packet: hop}`` dict, keyed and valued by the run's
-    shared ``ints`` (``ints[i] == i``).  ``tolist()`` makes two fresh int
-    objects per move, which a recorded schedule would keep alive for its
-    whole life; the shared ints are allocated once per run."""
+    """One step's ``{packet: hop}`` dict for the ``on_step`` hook, keyed
+    and valued by the run's shared ``ints`` (``ints[i] == i``).  Only an
+    instrumented run builds it: the run itself is recorded as a
+    :class:`~repro.sim.plancache.MoveLog`, whose dicts are a view built on
+    read.  ``tolist()`` makes two fresh int objects per move, which a hook
+    keeping the dicts would hold; the shared ints are allocated once per
+    run."""
     get = ints.__getitem__
     return dict(zip(map(get, pids.tolist()), map(get, hops.tolist())))
 
@@ -272,12 +297,15 @@ def _route_core(
     timing: bool = False,
     fault_model: FaultModel | None = None,
     on_fault: FaultCallback | None = None,
-) -> tuple[list[dict[int, int]], RoutingStats]:
+) -> tuple[MoveLog, RoutingStats]:
     """The engine's arbitration loop, for permutations and h-relations,
     fault-free or faulted.
 
+    The run is returned as a :class:`~repro.sim.plancache.MoveLog`: each
+    step's granted packet ids and hops, appended in grant order.
     Bit-identical output to the oracles in :mod:`repro.sim._reference` —
-    step dicts in insertion order, :class:`RoutingStats` including
+    the log's ``dicts()`` equal to the oracle's step dicts in insertion
+    order, :class:`RoutingStats` including
     ``dropped`` and ``retried``, the same seeded drop draws and the same
     error messages — is the contract.  Queue state is one array:
     ``order`` holds the in-flight packet ids sorted by (node, FIFO
@@ -333,7 +361,7 @@ def _route_core(
     npk = len(sources)
     position = np.array(sources, dtype=np.int64)
     dest = np.array(dests, dtype=np.int64)
-    ints = list(range(max(npk, n)))
+    ints = list(range(max(npk, n))) if on_step is not None else None
 
     # Priority order: node index ascending, FIFO position within the node.
     # Initial FIFO position is packet-id order (the reference fills queues
@@ -351,7 +379,8 @@ def _route_core(
     stats.delivered = delivered
     if in_flight:
         stats.max_queue_depth = int(np.bincount(position[order]).max())
-    steps: list[dict[int, int]] = []
+    pid_log: list[np.ndarray] = []
+    node_log: list[np.ndarray] = []
     blocked = 0
     per_step_seconds = stats.per_step_seconds if timing else None
 
@@ -486,11 +515,12 @@ def _route_core(
         in_flight = int(order.size)
         delivered += int(np.count_nonzero(arrived))
 
-        moves = _step_moves(ints, grant_pids, grant_hops)
-        steps.append(moves)
+        pid_log.append(grant_pids)
+        node_log.append(grant_hops)
+        moved = int(grant_pids.size)
         stats.steps += 1
-        stats.total_hops += len(moves)
-        stats.per_step_moves.append(len(moves))
+        stats.total_hops += moved
+        stats.per_step_moves.append(moved)
         stats.blocked_moves = blocked
         stats.delivered = delivered
         if in_flight:
@@ -500,9 +530,17 @@ def _route_core(
         if per_step_seconds is not None:
             per_step_seconds.append(perf_counter() - t0)
         if on_step is not None:
-            on_step(stats.steps - 1, moves, stats)
+            on_step(
+                stats.steps - 1, _step_moves(ints, grant_pids, grant_hops),
+                stats,
+            )
 
-    return steps, stats
+    moves = MoveLog(
+        np.array(stats.per_step_moves, dtype=np.int64),
+        np.concatenate(pid_log) if pid_log else np.empty(0, dtype=np.int64),
+        np.concatenate(node_log) if node_log else np.empty(0, dtype=np.int64),
+    )
+    return moves, stats
 
 
 def _fifo_arbitrate(
@@ -614,9 +652,9 @@ def _route_or_replay(
     cache,
     fault_model: FaultModel | None = None,
     on_fault: FaultCallback | None = None,
-) -> tuple[list[dict[int, int]], RoutingStats]:
-    """Cache-aware front of the routing core: replay a recorded plan on a
-    hit, route live (and record) on a miss.
+) -> tuple[MoveLog, RoutingStats]:
+    """Cache-aware front of the routing core: replay a recorded plan's log
+    on a hit, route live (and record the log) on a miss.
 
     An *enabled* fault model rides along to the core and folds its
     fingerprint into the plan key: the faulted
@@ -640,8 +678,8 @@ def _route_or_replay(
         else:
             plan = cache_obj.get(key)
             if plan is not None:
-                return plan.replay_steps(), plan.replay_stats()
-    steps, stats = _route_core(
+                return plan.moves, plan.replay_stats()
+    moves, stats = _route_core(
         topology,
         sources,
         dests,
@@ -654,8 +692,8 @@ def _route_or_replay(
         on_fault=on_fault,
     )
     if key is not None:
-        cache_obj.put(key, _plancache.CachedPlan.from_run(steps, stats))
-    return steps, stats
+        cache_obj.put(key, _plancache.CachedPlan.from_run(moves, stats))
+    return moves, stats
 
 
 def route_permutation(
@@ -730,7 +768,7 @@ def route_permutation(
         if fault_model is not None and fault_model.enabled:
             max_steps = _degraded_max_steps(max_steps, fault_model, n)
 
-    steps, stats = _route_or_replay(
+    moves, stats = _route_or_replay(
         topology,
         list(range(n)),
         perm.destinations.tolist(),
@@ -744,7 +782,7 @@ def route_permutation(
         on_fault=on_fault,
     )
     schedule = CommSchedule(
-        topology=topology, logical=perm, steps=tuple(steps)
+        topology=topology, logical=perm, steps=tuple(moves.dicts())
     )
     return RoutedPermutation(schedule=schedule, stats=stats)
 
@@ -795,7 +833,7 @@ def route_demands(
 
     sources = [src for src, _ in demands]
     dests = [dst for _, dst in demands]
-    steps, stats = _route_or_replay(
+    moves, stats = _route_or_replay(
         topology,
         sources,
         dests,
@@ -809,7 +847,5 @@ def route_demands(
         on_fault=on_fault,
     )
     return RoutedDemands(
-        demands=tuple((int(s), int(d)) for s, d in demands),
-        steps=tuple(steps),
-        stats=stats,
+        sources=sources, dests=dests, moves=moves, stats=stats
     )

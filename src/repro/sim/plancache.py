@@ -24,6 +24,12 @@ FFT engines compile the butterfly's communication offline and replay it:
   result after a miss, so repeated transforms, experiment reruns, and
   campaign sweeps replay schedules instead of re-simulating them.
 
+A plan's recorded form is a :class:`MoveLog`: per-step move counts plus
+two flat int arrays of packet ids and nodes, the engine's own output and
+the blob's own layout, so a plan goes from the engine to disk and back
+without a per-move Python object.  Step dicts are a view of the log, built
+only when a caller reads them.
+
 Equivalence is contractual: a cache hit reconstructs the **bit-identical**
 step dicts and :class:`~repro.sim.stats.RoutingStats` counters that a live
 ``_route_core`` run would produce (``tests/sim/test_engine_equivalence.py``
@@ -54,6 +60,7 @@ __all__ = [
     "PLAN_SCHEMA_VERSION",
     "DEFAULT_PLAN_ROOT",
     "PlanKey",
+    "MoveLog",
     "CachedPlan",
     "PlanBlobError",
     "PlanCache",
@@ -85,8 +92,10 @@ _BLOB_ITEM = np.dtype("<i4")
 class PlanBlobError(ValueError):
     """A plan blob whose step arrays do not decode (bad base64, a byte
     count that is not a whole number of items, torn ``pids`` / ``nodes``
-    arrays, or step lengths that do not partition them).  The disk tier
-    counts it as ``corrupt`` and routes live."""
+    arrays, step lengths that do not partition them, or a packet that
+    moves twice in one step), or a log whose ids do not fit the blob's
+    int32.  The disk tier counts a blob that does not decode as
+    ``corrupt`` and routes live."""
 
 
 #: Default root of the on-disk tier (``disk_cache()`` / ``cache="disk"``).
@@ -242,26 +251,91 @@ def plan_key(
     )
 
 
-@dataclass(frozen=True)
-class CachedPlan:
-    """A recorded engine run: the step dicts plus the routing counters.
+@dataclass(frozen=True, eq=False)
+class MoveLog:
+    """The recorded form of a routed run: every move as flat int arrays.
 
-    ``steps[s]`` maps packet id to the node it moved to during step ``s``,
-    in the engine's original insertion order, so a replayed schedule is
-    bit-identical to the live one (dict equality *and* iteration order).
-    ``per_step_seconds`` is host instrumentation and deliberately not
-    stored — a replay did not spend that time.
+    ``lengths[s]`` is the number of moves in step ``s``; ``pids`` and
+    ``nodes`` hold every move's packet id and the node it moved to, in
+    step order and, within a step, in grant order — exactly the layout of
+    a plan blob.  The engine records a run this way, the plan cache stores
+    and replays it this way, and step dicts are a view built only when a
+    caller reads them (:meth:`dicts`).  The arrays are made read-only: one
+    log is shared by a run's result and its cached plan.
     """
 
-    steps: tuple[dict[int, int], ...]
+    lengths: np.ndarray
+    pids: np.ndarray
+    nodes: np.ndarray
+
+    def __post_init__(self):
+        for values in (self.lengths, self.pids, self.nodes):
+            values.flags.writeable = False
+
+    @classmethod
+    def from_steps(cls, steps: Sequence[Mapping[int, int]]) -> "MoveLog":
+        """The log of step dicts (``steps[s]`` maps packet id to node), in
+        each dict's insertion order — the inverse of :meth:`dicts`."""
+        total = sum(map(len, steps))
+        return cls(
+            np.array([len(step) for step in steps], dtype=np.int64),
+            np.fromiter(itertools.chain.from_iterable(steps), np.int64, total),
+            np.fromiter(
+                itertools.chain.from_iterable(s.values() for s in steps),
+                np.int64, total,
+            ),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MoveLog):
+            return NotImplemented
+        return (
+            np.array_equal(self.lengths, other.lengths)
+            and np.array_equal(self.pids, other.pids)
+            and np.array_equal(self.nodes, other.nodes)
+        )
+
+    def dicts(self) -> list[dict[int, int]]:
+        """Fresh ``{packet: node}`` dicts, one per step, in recorded order.
+
+        ``tolist()`` makes two fresh int objects per move, which a schedule
+        built from the dicts would keep alive for its whole life.  So when
+        the ids are dense enough for it to pay, keys and values come from
+        one shared list of ints (``ints[i] == i``), as in the engine.
+        """
+        pids, nodes = self.pids.tolist(), self.nodes.tolist()
+        if pids:
+            low = min(self.pids.min(), self.nodes.min())
+            top = int(max(self.pids.max(), self.nodes.max()))
+            if low >= 0 and top < 2 * len(pids):
+                get = list(range(top + 1)).__getitem__
+                pids, nodes = map(get, pids), map(get, nodes)
+        moves = zip(pids, nodes)
+        return [
+            dict(itertools.islice(moves, k)) for k in self.lengths.tolist()
+        ]
+
+
+@dataclass(frozen=True)
+class CachedPlan:
+    """A recorded engine run: its :class:`MoveLog` plus the routing counters.
+
+    ``moves`` replays as step dicts in the engine's original insertion
+    order, so a replayed schedule is bit-identical to the live one (dict
+    equality *and* iteration order).  A warm hit that reads only
+    ``stats_fields`` never builds a dict.  ``per_step_seconds`` is host
+    instrumentation and deliberately not stored — a replay did not spend
+    that time.
+    """
+
+    moves: MoveLog
     stats_fields: Mapping[str, object] = field(default_factory=dict)
 
     @classmethod
-    def from_run(
-        cls, steps: Sequence[Mapping[int, int]], stats: RoutingStats
-    ) -> "CachedPlan":
+    def from_run(cls, moves: MoveLog, stats: RoutingStats) -> "CachedPlan":
+        """Record one run; the log is stored as is, not copied."""
         return cls(
-            steps=tuple(dict(step) for step in steps),
+            moves=moves,
             stats_fields={
                 "steps": stats.steps,
                 "total_hops": stats.total_hops,
@@ -275,8 +349,8 @@ class CachedPlan:
         )
 
     def replay_steps(self) -> list[dict[int, int]]:
-        """Fresh step dicts (callers may mutate engine output)."""
-        return [dict(step) for step in self.steps]
+        """Fresh step dicts built from the log (callers may mutate them)."""
+        return self.moves.dicts()
 
     def replay_stats(self) -> RoutingStats:
         """A fresh :class:`RoutingStats` carrying the recorded counters."""
@@ -299,28 +373,14 @@ class CachedPlan:
         """JSON-serializable blob body.
 
         ``steps`` holds each step's move count; ``pids`` and ``nodes`` are
-        every step's packet ids and destination nodes concatenated in step
-        order and, within a step, in the dict's insertion order, each
-        stored as base64 of a little-endian int32 array.
+        the log's arrays — every move in step order and, within a step, in
+        grant order — each stored as base64 of a little-endian int32 array.
         """
-        steps = self.steps
-        total = sum(map(len, steps))
-        try:
-            pids = np.fromiter(
-                itertools.chain.from_iterable(steps), _BLOB_ITEM, total
-            )
-            nodes = np.fromiter(
-                itertools.chain.from_iterable(s.values() for s in steps),
-                _BLOB_ITEM, total,
-            )
-        except OverflowError as exc:
-            raise PlanBlobError(
-                f"a packet id or node does not fit the blob's int32: {exc}"
-            ) from None
+        log = self.moves
         return {
-            "steps": [len(step) for step in steps],
-            "pids": base64.b64encode(pids.tobytes()).decode("ascii"),
-            "nodes": base64.b64encode(nodes.tobytes()).decode("ascii"),
+            "steps": log.lengths.tolist(),
+            "pids": _encode_array(log.pids),
+            "nodes": _encode_array(log.nodes),
             "stats": dict(self.stats_fields),
         }
 
@@ -328,29 +388,59 @@ class CachedPlan:
     def from_payload(cls, payload: Mapping) -> "CachedPlan":
         """Inverse of :meth:`to_payload`; raises :class:`PlanBlobError`
         (or the ``KeyError`` / ``TypeError`` / ``ValueError`` of a
-        malformed field) when the arrays do not decode into steps."""
+        malformed field) when the arrays do not decode into steps.  The
+        decoded int32 arrays become the plan's log as they are."""
         lengths = payload["steps"]
-        pids = _decode_array(payload["pids"], "pids").tolist()
-        nodes = _decode_array(payload["nodes"], "nodes").tolist()
-        if len(pids) != len(nodes):
+        pids = _decode_array(payload["pids"], "pids")
+        nodes = _decode_array(payload["nodes"], "nodes")
+        if pids.size != nodes.size:
             raise PlanBlobError(
-                f"torn step arrays: {len(pids)} packet ids, {len(nodes)} nodes"
+                f"torn step arrays: {pids.size} packet ids, {nodes.size} nodes"
             )
-        if any(k < 0 for k in lengths) or sum(lengths) != len(pids):
+        # Checked on the Python ints, before any of them meets an int64.
+        if (
+            not isinstance(lengths, list)
+            or not all(type(k) is int and k >= 0 for k in lengths)
+            or sum(lengths) != pids.size
+        ):
             raise PlanBlobError(
-                f"step lengths do not partition the {len(pids)} recorded moves"
+                f"step lengths do not partition the {pids.size} recorded moves"
             )
-        steps = []
-        at = 0
-        for k in lengths:
-            step = dict(zip(pids[at:at + k], nodes[at:at + k]))
-            if len(step) != k:
+        lengths = np.array(lengths, dtype=np.int64)
+        if pids.size:
+            # A packet moves at most once per step: sort the moves by one
+            # (step, pid) code and look for an adjacent equal pair.
+            low = np.int64(pids.min())
+            span = np.int64(pids.max()) - low + 1
+            codes = np.repeat(np.arange(lengths.size) * span, lengths)
+            codes += pids - low
+            codes.sort()
+            if (codes[1:] == codes[:-1]).any():
                 raise PlanBlobError("a packet moves twice in one recorded step")
-            steps.append(step)
-            at += k
-        plan = cls(steps=tuple(steps), stats_fields=dict(payload["stats"]))
+        plan = cls(
+            moves=MoveLog(lengths, pids, nodes),
+            stats_fields=dict(payload["stats"]),
+        )
         plan.replay_stats()  # validates required counters are present/typed
         return plan
+
+
+#: Range of the blob's item type, checked before an array is narrowed.
+_BLOB_RANGE = np.iinfo(_BLOB_ITEM)
+
+
+def _encode_array(values: np.ndarray) -> str:
+    """Base64 of one log array as little-endian int32 (:class:`PlanBlobError`
+    naming int32 if a value does not fit)."""
+    if values.size and (
+        values.min() < _BLOB_RANGE.min or values.max() > _BLOB_RANGE.max
+    ):
+        raise PlanBlobError(
+            "a packet id or node does not fit the blob's int32: "
+            f"range [{values.min()}, {values.max()}]"
+        )
+    raw = values.astype(_BLOB_ITEM, copy=False).tobytes()
+    return base64.b64encode(raw).decode("ascii")
 
 
 def _decode_array(text: str, name: str) -> np.ndarray:

@@ -25,6 +25,7 @@ from ..networks.base import Topology
 from ..routing.permutation import Permutation
 from .engine import RoutedPermutation, route_permutation
 from .routers import Router
+from .schedule import ScheduleError
 
 __all__ = ["TwoPhaseRoute", "route_two_phase"]
 
@@ -66,6 +67,10 @@ def route_two_phase(
     phase1 = route_permutation(topology, sigma, router)
     phase2 = route_permutation(topology, sigma.inverse().compose(perm), router)
     # Composition check: the two phases together must realize `perm`.
-    composed = sigma.compose(sigma.inverse().compose(perm))
-    assert composed == perm
+    composed = sigma.compose(phase2.schedule.logical)
+    if composed != perm:
+        raise ScheduleError(
+            "two-phase composition does not realize the permutation: "
+            "sigma then phase two differs from it"
+        )
     return TwoPhaseRoute(intermediate=sigma, phase1=phase1, phase2=phase2)

@@ -27,6 +27,7 @@ import hashlib
 import json
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +38,7 @@ from repro.service.jobs import PlanKeyMemo, RouteRequest
 from repro.sim import PlanCache, plan_key, plancache, route_demands
 from repro.sim.plancache import (
     CachedPlan,
+    MoveLog,
     PlanBlobError,
     PlanKey,
     fault_fingerprint,
@@ -319,7 +321,8 @@ def recorded_plans(draw):
         pids = draw(st.lists(ids, unique=True, max_size=12))
         nodes = draw(st.lists(ids, min_size=len(pids), max_size=len(pids)))
         steps.append(dict(zip(pids, nodes)))
-    return CachedPlan(steps=tuple(steps), stats_fields=dict(_STATS))
+    return CachedPlan(moves=MoveLog.from_steps(steps),
+                      stats_fields=dict(_STATS))
 
 
 def _ordered(steps):
@@ -329,8 +332,8 @@ def _ordered(steps):
 @given(recorded_plans())
 def test_blob_round_trip_keeps_every_step_in_order(plan):
     payload = json.loads(json.dumps(plan.to_payload()))
-    assert _ordered(CachedPlan.from_payload(payload).steps) == _ordered(
-        plan.steps)
+    assert _ordered(CachedPlan.from_payload(payload).replay_steps()) == \
+        _ordered(plan.replay_steps())
     # And through the disk tier's own blob text, read by a fresh cache.
     key = PlanKey(topology="t", demands="d", router="r",
                   arbitration="overtaking")
@@ -339,10 +342,12 @@ def test_blob_round_trip_keeps_every_step_in_order(plan):
         reader = PlanCache(root)
         replayed = reader.get(key)
         assert reader.corrupt == 0 and replayed is not None
-        assert _ordered(replayed.steps) == _ordered(plan.steps)
+        assert _ordered(replayed.replay_steps()) == _ordered(
+            plan.replay_steps())
 
 
-@given(recorded_plans().filter(lambda p: any(p.steps)), st.integers(1, 7),
+@given(recorded_plans().filter(lambda p: p.moves.pids.size > 0),
+       st.integers(1, 7),
        st.sampled_from(["pids", "nodes"]))
 def test_cut_arrays_never_decode(plan, cut, field):
     payload = plan.to_payload()
@@ -350,3 +355,38 @@ def test_cut_arrays_never_decode(plan, cut, field):
     payload[field] = base64.b64encode(raw[:-cut]).decode("ascii")
     with pytest.raises(PlanBlobError):
         CachedPlan.from_payload(payload)
+
+
+@given(recorded_plans().filter(lambda p: p.moves.pids.size > 0), st.data())
+def test_a_packet_twice_in_one_step_never_decodes(plan, data):
+    """Repeating a move's packet id anywhere inside its step is corrupt;
+    the same repeat as a step of its own is a legal plan."""
+    payload = plan.to_payload()
+    lengths = payload["steps"]
+    pids = np.frombuffer(base64.b64decode(payload["pids"]), "<i4")
+    nodes = np.frombuffer(base64.b64decode(payload["nodes"]), "<i4")
+    step = data.draw(st.sampled_from([s for s, k in enumerate(lengths) if k]))
+    start = sum(lengths[:step])
+    end = start + lengths[step]
+    at = data.draw(st.integers(start, end - 1))
+
+    def with_repeat(where, steps):
+        return dict(
+            payload, steps=steps,
+            pids=_b64(np.insert(pids, where, pids[at])),
+            nodes=_b64(np.insert(nodes, where, nodes[at])),
+        )
+
+    where = data.draw(st.integers(start, end))
+    twice = with_repeat(
+        where, lengths[:step] + [lengths[step] + 1] + lengths[step + 1:]
+    )
+    with pytest.raises(PlanBlobError, match="twice"):
+        CachedPlan.from_payload(twice)
+    apart = with_repeat(end, lengths[:step + 1] + [1] + lengths[step + 1:])
+    replayed = CachedPlan.from_payload(apart).replay_steps()
+    assert replayed[step + 1] == {int(pids[at]): int(nodes[at])}
+
+
+def _b64(values):
+    return base64.b64encode(values.astype("<i4").tobytes()).decode("ascii")

@@ -36,7 +36,7 @@ from repro.routing import Permutation, bit_reversal
 from repro.sim import route_demands, route_permutation
 from repro.sim._reference import reference_route_core, route_core_degraded
 from repro.sim.engine import _route_core
-from repro.sim.plancache import CachedPlan
+from repro.sim.plancache import CachedPlan, MoveLog
 from repro.sim.routers import router_for
 from repro.sim.schedule import ScheduleError
 from repro.sim.task import build_topology, build_workload
@@ -57,9 +57,11 @@ CORES = ["numpy"]
 
 
 def run_core(core, topology, sources, dests, **kwargs):
+    """``(steps, stats)`` of a core; the engine's log read as its dicts."""
     router = router_for(topology)
     max_steps = 100 * (10 * topology.diameter + 10 * topology.num_nodes)
-    return core(topology, sources, dests, router, max_steps, **kwargs)
+    steps, stats = core(topology, sources, dests, router, max_steps, **kwargs)
+    return (steps.dicts() if core is _route_core else steps), stats
 
 
 def run_oracle(topology, sources, dests, *, arbitration="overtaking",
@@ -159,8 +161,8 @@ class TestCoreEquivalence:
         )
 
 
-def _plan_payload(steps, stats):
-    return json.dumps(CachedPlan.from_run(steps, stats).to_payload(),
+def _plan_payload(moves, stats):
+    return json.dumps(CachedPlan.from_run(moves, stats).to_payload(),
                       sort_keys=True)
 
 
@@ -178,9 +180,10 @@ def test_cores_match_the_seed_loop_at_scale(name, n):
     for workload in ("dense-permutation", "sparse-hrelation"):
         srcs, dsts = build_workload(workload, n, seed=99)
         want = reference_route_core(topology, srcs, dsts, router, max_steps)
-        got = _route_core(topology, srcs, dsts, router, max_steps)
-        assert_bit_identical(got, want)
-        assert _plan_payload(*got) == _plan_payload(*want)
+        moves, stats = _route_core(topology, srcs, dsts, router, max_steps)
+        assert_bit_identical((moves.dicts(), stats), want)
+        assert _plan_payload(moves, stats) == _plan_payload(
+            MoveLog.from_steps(want[0]), want[1])
         routed = route_demands(topology, list(zip(srcs, dsts)), cache=False)
         assert_bit_identical((list(routed.steps), routed.stats), want)
         cert = certify(topology, list(zip(srcs, dsts)), want[1].steps)

@@ -23,7 +23,7 @@ from repro.networks import Hypercube
 from repro.routing import bit_reversal
 from repro.sim import PlanCache, route_demands
 from repro.sim._reference import route_core_degraded
-from repro.sim.plancache import CachedPlan, plan_key
+from repro.sim.plancache import CachedPlan, MoveLog, plan_key
 from repro.sim.routers import router_for
 from repro.sim.task import build_topology, build_workload
 
@@ -80,7 +80,9 @@ def test_default_dispatch_matches_indexed_on_route_cold_shapes(
             model if model is not None else FaultModel(),
         )
         key = plan_key(topology, sources, dests, router, "overtaking", model)
-        PlanCache(oracle_root).put(key, CachedPlan.from_run(steps, stats))
+        PlanCache(oracle_root).put(
+            key, CachedPlan.from_run(MoveLog.from_steps(steps), stats)
+        )
         assert [list(s.items()) for s in routed.steps] == [
             list(s.items()) for s in steps
         ], body

@@ -41,15 +41,19 @@ def both_engines(topology, sources, dests, max_steps=None):
     router = router_for(topology)
     if max_steps is None:
         max_steps = 100 * (10 * topology.diameter + 10 * topology.num_nodes)
-    new = _route_core(topology, sources, dests, router, max_steps)
+    moves, stats = _route_core(topology, sources, dests, router, max_steps)
     ref = reference_route_core(topology, sources, dests, router, max_steps)
-    return new, ref
+    return (moves.dicts(), stats), ref
 
 
 def assert_identical(new, ref):
     new_steps, new_stats = new
     ref_steps, ref_stats = ref
     assert new_steps == ref_steps
+    # The plan cache serializes each step in insertion order, so the
+    # order is part of the contract.
+    for got, want in zip(new_steps, ref_steps):
+        assert list(got.items()) == list(want.items())
     # RoutingStats equality covers steps, total_hops, max_queue_depth,
     # blocked_moves, delivered and per_step_moves (timing is excluded by
     # design: the reference engine is untimed).

@@ -20,6 +20,7 @@ from repro.sim import plancache
 from repro.sim.plancache import (
     PLAN_SCHEMA_VERSION,
     CachedPlan,
+    MoveLog,
     PlanBlobError,
     PlanCache,
     demands_digest,
@@ -269,6 +270,8 @@ class TestDiskTier:
         pytest.param(lambda p: p["steps"].__setitem__(-1, p["steps"][-1] - 1),
                      id="lengths-fall-short"),
         pytest.param(_negative_length, id="negative-length"),
+        pytest.param(lambda p: p["steps"].__setitem__(0, 2**70),
+                     id="length-past-int64"),
         pytest.param(lambda p: p.update(pids=_b64(_raw(p["pids"]) + b"\0"),
                                         nodes=_b64(_raw(p["nodes"]) + b"\0")),
                      id="partial-item"),
@@ -318,7 +321,8 @@ class TestDiskTier:
         assert reader.corrupt == 1 and reader.misses == 1
 
     def test_ids_past_int32_raise_a_named_error(self):
-        plan = CachedPlan(steps=({2**31: 1},), stats_fields={})
+        plan = CachedPlan(moves=MoveLog.from_steps([{2**31: 1}]),
+                          stats_fields={})
         with pytest.raises(PlanBlobError, match="int32"):
             plan.to_payload()
 

@@ -12,7 +12,7 @@ import multiprocessing
 
 import pytest
 
-from repro.sim.plancache import CachedPlan, PlanCache, PlanKey
+from repro.sim.plancache import CachedPlan, MoveLog, PlanCache, PlanKey
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -24,7 +24,7 @@ PUTS_PER_WORKER = 20  # per worker: PUTS distinct keys + PUTS shared-key puts
 
 def _plan(marker: int) -> CachedPlan:
     return CachedPlan(
-        steps=({0: marker},),
+        moves=MoveLog.from_steps([{0: marker}]),
         stats_fields={
             "steps": 1,
             "total_hops": 1,
@@ -81,7 +81,7 @@ class TestTwoProcessHammer:
         # The contended digest holds one complete plan from either worker.
         shared = cache.get(_key("shared", "same-demands"))
         assert shared is not None
-        assert shared.steps[0][0] in (0, 1)
+        assert shared.replay_steps()[0][0] in (0, 1)
 
         # No staged tmp litter.
         assert list(root.glob("*.tmp")) == []

@@ -24,7 +24,7 @@ import pytest
 
 from repro.faults import FaultModel
 from repro.networks import Hypermesh2D, Mesh2D, Torus2D
-from repro.sim import RoutedDemands, route_demands
+from repro.sim import MoveLog, RoutedDemands, route_demands
 from repro.sim._reference import route_core_degraded
 from repro.sim.routers import router_for
 
@@ -37,13 +37,13 @@ def route(topology, demands, backend):
     """``route_demands`` (``numpy``), or the oracle in its result shape."""
     if backend == "numpy":
         return route_demands(topology, demands, cache=False)
+    sources, dests = [s for s, _ in demands], [d for _, d in demands]
     steps, stats = route_core_degraded(
-        topology, [s for s, _ in demands], [d for _, d in demands],
-        router_for(topology),
+        topology, sources, dests, router_for(topology),
         100 * (10 * topology.diameter + 10 * topology.num_nodes),
         FaultModel(),
     )
-    return RoutedDemands(tuple(demands), tuple(steps), stats)
+    return RoutedDemands(sources, dests, MoveLog.from_steps(steps), stats)
 
 
 def relabeled_equal(routed_a, routed_b, sigma):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.networks import Hypercube, Hypermesh, Hypermesh2D, Mesh2D
 from repro.routing import Permutation, bit_reversal, vector_reversal
-from repro.sim import route_two_phase
+from repro.sim import ScheduleError, route_two_phase
 
 
 class TestCorrectness:
@@ -64,3 +64,15 @@ class TestCost:
             cube_total += route_two_phase(cube, perm, rng).total_steps
             hm_total += route_two_phase(hm, perm, rng).total_steps
         assert hm_total < cube_total
+
+
+class TestGuards:
+    def test_broken_composition_raises_schedule_error(self, monkeypatch):
+        """A phase two that does not complete ``perm`` is refused with
+        :class:`ScheduleError` — a raised check, which ``python -O``
+        keeps."""
+        monkeypatch.setattr(Permutation, "inverse", lambda self: self)
+        with pytest.raises(ScheduleError, match="composition"):
+            route_two_phase(
+                Hypercube(4), bit_reversal(16), np.random.default_rng(3)
+            )

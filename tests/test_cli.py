@@ -554,6 +554,32 @@ class TestCertifyCommand:
         assert out.count("bit-reversal") == 2
         assert out.count("ape-fft") == 2
 
+    def test_wrong_spectrum_fails_the_cell(self, capsys, monkeypatch):
+        """A wrong APE FFT spectrum is a failing cell named by its error
+        and exit 1 — a raised check, which ``python -O`` keeps."""
+        import dataclasses
+
+        from repro.fft import ape
+
+        real = ape.parallel_fft_ape
+
+        def wrong(topology, samples, **kwargs):
+            result = real(topology, samples, **kwargs)
+            return dataclasses.replace(result, spectrum=result.spectrum + 1)
+
+        monkeypatch.setattr(ape, "parallel_fft_ape", wrong)
+        rc = main(
+            ["certify", "--topologies", "mesh2d", "--sizes", "16",
+             "--workloads", "bit-reversal", "ape-fft"]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "every cell holds" not in captured.out
+        [row] = [l for l in captured.out.splitlines() if "ape-fft" in l]
+        assert "SpectrumMismatch" in row
+        assert "SpectrumMismatch" in captured.err
+        assert "mesh2d n=16" in captured.err
+
     def test_staged_workloads_certify(self, capsys):
         rc = main(
             ["certify", "--topologies", "torus2d", "--sizes", "16",
