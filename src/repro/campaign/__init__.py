@@ -10,8 +10,9 @@ sweeps as first-class *campaigns*:
 * :mod:`~repro.campaign.store` — a content-addressed on-disk result store
   (JSON blobs + an append-only JSONL manifest under ``results/campaigns/``),
   so finished work is never repeated and killed runs resume;
-* :mod:`~repro.campaign.executor` — a multiprocessing worker pool with
-  per-task timeout, bounded retry and crash isolation;
+* :mod:`~repro.campaign.executor` — runs the tasks on
+  :class:`repro.workers.WorkerPool` with per-task timeout, bounded retry
+  and crash isolation;
 * :mod:`~repro.campaign.metrics` / :mod:`~repro.campaign.report` —
   structured per-task metrics aggregated into tables and BENCH-style
   JSON.

@@ -1,20 +1,28 @@
-"""Multiprocessing campaign executor: worker pool with failure isolation.
+"""Campaign executor: tasks in worker processes, failures as records.
 
 The executor runs every task of a :class:`~repro.campaign.spec.CampaignSpec`
-in worker *processes* (one task in flight per worker), which buys three
-properties an in-process loop cannot give:
+on :class:`repro.workers.WorkerPool`, the process pool the routing service
+uses too: ``workers`` threads each hold one worker process and hand it one
+attempt at a time (:func:`_call_entry`, which resolves the entry and times
+it in the worker).  That buys three properties an in-process loop cannot
+give:
 
 * **parallelism** across cores for CPU-bound simulator sweeps;
-* **per-task timeouts** — a hung task's worker is killed and replaced, the
-  campaign continues;
+* **per-task timeouts** — a hung task's worker is SIGKILLed and replaced,
+  the campaign continues;
 * **crash isolation** — a task that takes its interpreter down (segfault,
   ``os._exit``) is recorded as ``failed`` with a diagnostic while sibling
   tasks complete.
 
 Failures are data, not exceptions: every task ends as a
 :class:`~repro.campaign.metrics.TaskRecord` with ``status`` ``"ok"`` or
-``"failed"`` (kind ``exception`` / ``timeout`` / ``crash``), a bounded number
-of retries having been attempted first.  When a
+``"failed"``, a bounded number of retries having been attempted first.  The
+kind follows the pool's error: :class:`~repro.workers.JobFailed` (the task
+raised an ``Exception`` or ``SystemExit``, or returned a payload that
+cannot be pickled) is ``exception``, :class:`~repro.workers.JobTimeout`
+is ``timeout`` and :class:`~repro.workers.JobCrashed` is ``crash``.  The
+calling thread does all the bookkeeping (retries, records, the store and
+the progress callback), so those never see another thread.  When a
 :class:`~repro.campaign.store.ResultStore` is attached, records persist as
 they complete, so killing a run and re-running with resume executes only the
 remaining tasks.
@@ -23,20 +31,19 @@ remaining tasks.
 from __future__ import annotations
 
 import importlib
-import multiprocessing as mp
+import itertools
+import threading
 import time
-import traceback as _traceback
-from dataclasses import dataclass, field
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from dataclasses import dataclass
 from typing import Any, Callable
 
+from ..workers import JobCrashed, JobFailed, JobTimeout, WorkerPool
 from .metrics import CampaignSummary, TaskRecord, summarize
 from .spec import CampaignSpec, TaskSpec
 from .store import ResultStore
 
 __all__ = ["run_campaign", "CampaignResult", "resolve_entry"]
-
-#: Seconds the parent waits on the result queue per scheduling loop turn.
-_POLL_SECONDS = 0.02
 
 
 def resolve_entry(entry: str) -> Callable[[dict], Any]:
@@ -71,116 +78,12 @@ class CampaignResult:
         return [r.payload for r in self.records if r.ok]
 
 
-def _worker_main(worker_id: int, inbox, outbox) -> None:
-    """Worker loop: one task at a time, everything reported via the queue.
-
-    Catches ``BaseException`` so even ``SystemExit`` from an entry point
-    becomes a failure record rather than a silent worker death; only an
-    actual process kill (timeout/crash) is handled by the parent.
-    """
-    while True:
-        item = inbox.get()
-        if item is None:
-            return
-        index, attempt, entry, params = item
-        t0 = time.perf_counter()
-        try:
-            fn = resolve_entry(entry)
-            payload = fn(dict(params))
-            result = (index, attempt, worker_id, "ok", payload, None)
-        except BaseException:
-            result = (index, attempt, worker_id, "error", None, _traceback.format_exc())
-        elapsed = time.perf_counter() - t0
-        try:
-            outbox.put((*result, elapsed))
-        except Exception:
-            # Unpicklable payload: report the failure instead of hanging.
-            outbox.put(
-                (
-                    index,
-                    attempt,
-                    worker_id,
-                    "error",
-                    None,
-                    f"task payload for {entry!r} could not be pickled",
-                    elapsed,
-                )
-            )
-
-
-@dataclass
-class _Worker:
-    worker_id: int
-    process: mp.process.BaseProcess
-    inbox: Any
-    busy_index: int | None = None
-    started_at: float = 0.0
-    deadline: float = field(default=float("inf"))
-
-    @property
-    def idle(self) -> bool:
-        return self.busy_index is None
-
-
-class _Pool:
-    """Fixed-size process pool with kill-and-respawn semantics."""
-
-    def __init__(self, ctx, outbox, num_workers: int):
-        self._ctx = ctx
-        self._outbox = outbox
-        self._next_id = 0
-        self.workers: dict[int, _Worker] = {}
-        for _ in range(num_workers):
-            self._spawn()
-
-    def _spawn(self) -> _Worker:
-        worker_id = self._next_id
-        self._next_id += 1
-        inbox = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(worker_id, inbox, self._outbox),
-            daemon=True,
-            name=f"campaign-worker-{worker_id}",
-        )
-        process.start()
-        worker = _Worker(worker_id=worker_id, process=process, inbox=inbox)
-        self.workers[worker_id] = worker
-        return worker
-
-    def kill_and_replace(self, worker: _Worker) -> None:
-        """Terminate a hung/dead worker and bring the pool back to size."""
-        if worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():  # pragma: no cover - last resort
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
-        worker.inbox.close()
-        del self.workers[worker.worker_id]
-        self._spawn()
-
-    def idle_workers(self) -> list[_Worker]:
-        return [w for w in self.workers.values() if w.idle]
-
-    def shutdown(self) -> None:
-        for worker in self.workers.values():
-            try:
-                worker.inbox.put(None)
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-        for worker in self.workers.values():
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
-
-
-def _make_context():
-    """Prefer ``fork`` (cheap on Linux: no re-import of numpy per worker),
-    fall back to the platform default elsewhere."""
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else None)
+def _call_entry(job: dict) -> tuple[Any, float]:
+    """One attempt, worker side: resolve ``job["entry"]``, call it on
+    ``job["params"]`` and time both where they run."""
+    t0 = time.perf_counter()
+    payload = resolve_entry(job["entry"])(dict(job["params"]))
+    return payload, time.perf_counter() - t0
 
 
 def run_campaign(
@@ -206,11 +109,13 @@ def run_campaign(
         what makes ``--resume`` after a mid-flight kill execute only the
         remaining tasks.  ``store=None`` runs everything in memory.
     workers:
-        Worker processes.  ``workers=1`` still uses a subprocess, so crash
+        Worker processes, each driven by one thread of this process; a
+        record's ``worker_id`` is that thread's number, ``0`` to
+        ``workers - 1``.  ``workers=1`` still uses a subprocess, so crash
         isolation and timeouts behave identically at any width.
     task_timeout:
         Per-task wall-clock budget in seconds; an over-budget task's worker
-        is killed and replaced.  ``None`` disables the deadline.
+        is SIGKILLed and replaced.  ``None`` disables the deadline.
     retries:
         Extra attempts per task after the first failure (exception, timeout
         or crash) before it is recorded as ``failed``.
@@ -243,7 +148,6 @@ def run_campaign(
 
     if pending:
         _execute(
-            spec,
             pending,
             records,
             store=store,
@@ -259,7 +163,6 @@ def run_campaign(
 
 
 def _execute(
-    spec: CampaignSpec,
     pending: list[tuple[int, TaskSpec]],
     records: dict[int, TaskRecord],
     *,
@@ -269,164 +172,79 @@ def _execute(
     retries: int,
     progress: Callable[[TaskRecord], None] | None,
 ) -> None:
-    ctx = _make_context()
-    outbox = ctx.Queue()
-    pool = _Pool(ctx, outbox, workers)
+    """Run ``pending`` on ``workers`` pool threads, one worker process
+    each; this thread does the retries and every record's bookkeeping."""
+    pool = WorkerPool(workers)
+    slot = threading.local()
+    slot_ids = itertools.count()
 
-    queue: list[tuple[int, int]] = [(index, 1) for index, _ in pending]
-    queue.reverse()  # pop() then serves tasks in spec order
-    tasks = dict(pending)
-    in_flight: dict[int, int] = {}  # task index -> attempt number
-    done = 0
+    def name_slot() -> None:
+        slot.worker_id = next(slot_ids)
 
-    def finish(
-        index: int,
-        attempt: int,
-        *,
-        status: str,
-        failure_kind: str | None,
-        payload: Any,
-        tb: str | None,
-        wall: float,
-        worker_id: int | None,
-    ) -> None:
-        nonlocal done
-        task = tasks[index]
-        # Tasks that wrote an observability trace advertise it through a
-        # "trace_ref" payload key; lift it onto the record so reports can
-        # link each task to its trace without parsing payloads.
-        trace_ref = payload.get("trace_ref") if isinstance(payload, dict) else None
-        record = TaskRecord(
-            task_hash=task.task_hash,
-            label=task.label,
-            entry=task.entry,
-            params=dict(task.params),
-            status=status,
-            failure_kind=failure_kind,
-            wall_seconds=wall,
-            worker_id=worker_id,
-            attempts=attempt,
-            payload=payload,
-            traceback=tb,
-            trace_ref=trace_ref,
-        )
-        records[index] = record
-        done += 1
-        if store is not None:
-            store.put_record(record)
-        if progress is not None:
-            progress(record)
-
-    def fail_or_retry(
-        worker: _Worker, *, kind: str, tb: str, wall: float
-    ) -> None:
-        index = worker.busy_index
-        assert index is not None
-        attempt = in_flight.pop(index)
-        worker.busy_index = None
-        if attempt <= retries:
-            queue.append((index, attempt + 1))
-        else:
-            finish(
-                index,
-                attempt,
-                status="failed",
-                failure_kind=kind,
-                payload=None,
-                tb=tb,
-                wall=wall,
-                worker_id=worker.worker_id,
+    def attempt(task: TaskSpec) -> tuple:
+        """``(failure_kind, payload, traceback, wall, worker_id)``, where
+        ``failure_kind`` is ``None`` on success."""
+        t0 = time.perf_counter()
+        job = {"entry": task.entry, "params": dict(task.params)}
+        try:
+            payload, wall = pool.run(_call_entry, job, task_timeout)
+            return None, payload, None, wall, slot.worker_id
+        except JobFailed as exc:
+            kind, tb = "exception", exc.traceback
+        except JobTimeout:
+            kind, tb = "timeout", (
+                f"task {task.label!r} exceeded its "
+                f"{task_timeout:g}s timeout and was killed"
             )
+        except JobCrashed as exc:
+            kind, tb = "crash", (
+                f"worker {slot.worker_id} running task {task.label!r} "
+                f"exited with code {exc.exitcode}"
+            )
+        return kind, None, tb, time.perf_counter() - t0, slot.worker_id
 
+    threads = ThreadPoolExecutor(workers, initializer=name_slot)
     try:
-        while done < len(pending):
-            # Dispatch to every idle worker.
-            for worker in pool.idle_workers():
-                if not queue:
-                    break
-                index, attempt = queue.pop()
-                task = tasks[index]
-                worker.busy_index = index
-                worker.started_at = time.perf_counter()
-                worker.deadline = (
-                    worker.started_at + task_timeout
-                    if task_timeout is not None
-                    else float("inf")
-                )
-                in_flight[index] = attempt
-                worker.inbox.put((index, attempt, task.entry, dict(task.params)))
-
-            # Collect one result if any arrived.
-            try:
-                index, attempt, worker_id, status, payload, tb, wall = outbox.get(
-                    timeout=_POLL_SECONDS
-                )
-            except Exception:  # queue.Empty
-                pass
-            else:
-                if in_flight.get(index) != attempt:
-                    # Stale result from an attempt the deadline sweep already
-                    # resolved (killed + requeued/failed): drop it.
+        running = {
+            threads.submit(attempt, task): (index, task, 1)
+            for index, task in pending
+        }
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=lambda f: running[f][0]):
+                index, task, tries = running.pop(future)
+                kind, payload, tb, wall, worker_id = future.result()
+                if kind is not None and tries <= retries:
+                    running[threads.submit(attempt, task)] = (index, task, tries + 1)
                     continue
-                worker = pool.workers.get(worker_id)
-                if worker is not None and worker.busy_index == index:
-                    worker.busy_index = None
-                del in_flight[index]
-                if status == "ok":
-                    finish(
-                        index,
-                        attempt,
-                        status="ok",
-                        failure_kind=None,
-                        payload=payload,
-                        tb=None,
-                        wall=wall,
-                        worker_id=worker_id,
-                    )
-                elif attempt <= retries:
-                    queue.append((index, attempt + 1))
-                else:
-                    finish(
-                        index,
-                        attempt,
-                        status="failed",
-                        failure_kind="exception",
-                        payload=None,
-                        tb=tb,
-                        wall=wall,
-                        worker_id=worker_id,
-                    )
-                continue
-
-            # Enforce deadlines and detect crashed workers.
-            now = time.perf_counter()
-            for worker in list(pool.workers.values()):
-                if worker.idle:
-                    continue
-                if now > worker.deadline:
-                    task = tasks[worker.busy_index]
-                    fail_or_retry(
-                        worker,
-                        kind="timeout",
-                        tb=(
-                            f"task {task.label!r} exceeded its "
-                            f"{task_timeout:g}s timeout and was killed"
-                        ),
-                        wall=now - worker.started_at,
-                    )
-                    pool.kill_and_replace(worker)
-                elif not worker.process.is_alive():
-                    task = tasks[worker.busy_index]
-                    fail_or_retry(
-                        worker,
-                        kind="crash",
-                        tb=(
-                            f"worker {worker.worker_id} running task "
-                            f"{task.label!r} exited with code "
-                            f"{worker.process.exitcode}"
-                        ),
-                        wall=now - worker.started_at,
-                    )
-                    pool.kill_and_replace(worker)
+                # Tasks that wrote an observability trace advertise it
+                # through a "trace_ref" payload key; lift it onto the
+                # record so reports can link each task to its trace
+                # without parsing payloads.
+                trace_ref = (
+                    payload.get("trace_ref") if isinstance(payload, dict) else None
+                )
+                record = TaskRecord(
+                    task_hash=task.task_hash,
+                    label=task.label,
+                    entry=task.entry,
+                    params=dict(task.params),
+                    status="ok" if kind is None else "failed",
+                    failure_kind=kind,
+                    wall_seconds=wall,
+                    worker_id=worker_id,
+                    attempts=tries,
+                    payload=payload,
+                    traceback=tb,
+                    trace_ref=trace_ref,
+                )
+                records[index] = record
+                if store is not None:
+                    store.put_record(record)
+                if progress is not None:
+                    progress(record)
     finally:
-        pool.shutdown()
+        # Kill what still runs (a ^C, a raising callback) before joining
+        # the threads that wait on it.
+        pool.close()
+        threads.shutdown(cancel_futures=True)

@@ -3,7 +3,7 @@
 These are real entry points (importable by worker processes) used by the
 test suite and the CI campaign smoke job to inject each failure mode the
 executor must isolate: a raised exception, a hang that trips the per-task
-timeout, and a hard process death.  They live in the package, not in the
+timeout, a hard process death, and a payload that cannot be pickled.  They live in the package, not in the
 tests, so spec files written by users (and the CI workflow) can reference
 them by dotted path.
 """
@@ -11,9 +11,16 @@ them by dotted path.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
-__all__ = ["echo_task", "failing_task", "sleeping_task", "crashing_task"]
+__all__ = [
+    "echo_task",
+    "failing_task",
+    "sleeping_task",
+    "crashing_task",
+    "unpicklable_task",
+]
 
 
 def echo_task(params: dict) -> dict:
@@ -38,3 +45,10 @@ def crashing_task(params: dict) -> dict:
     """Kill the worker process outright (no Python-level cleanup), the way a
     segfaulting extension would."""
     os._exit(int(params.get("code", 17)))
+
+
+def unpicklable_task(params: dict) -> object:
+    """Return a payload the worker cannot send back (a lock does not
+    pickle): the executor must record a ``failed``/``exception`` record
+    naming the type, not hang or file a timeout."""
+    return threading.Lock()

@@ -12,7 +12,7 @@ content-addressed plan cache (:mod:`repro.sim.plancache`):
   held next to that tier, so a warm hit neither rebuilds its demands nor
   hashes them: it is parse, validate, memo lookup, ``cache.get``, encode;
 * **cold** requests dispatch the word-level engine run to a bounded
-  kill-on-timeout worker pool (:mod:`repro.service.pool`); the worker
+  kill-on-timeout worker pool (:mod:`repro.workers`); the worker
   records the plan blob to the shared on-disk tier and the response
   carries the digest every later request replays;
 * concurrent **identical** requests are coalesced: one in-flight
@@ -37,6 +37,7 @@ from bisect import bisect_left
 from typing import Mapping
 
 from ..sim.plancache import PlanCache
+from ..workers import JobCrashed, JobFailed, JobTimeout, WorkerPool
 from .http import ProtocolError, Request, json_response, read_request
 from .jobs import (
     ROUTE_STATS,
@@ -45,7 +46,6 @@ from .jobs import (
     ValidationError,
     execute_route,
 )
-from .pool import JobCrashed, JobFailed, JobTimeout, WorkerPool
 
 __all__ = ["ENDPOINTS", "LATENCY_EDGES_MS", "LatencyHistogram", "RoutingService"]
 
@@ -147,11 +147,10 @@ class RoutingService:
         capacity: int = 256,
         default_timeout: float = DEFAULT_TIMEOUT,
         tracer=None,
-        start_method: str | None = None,
     ):
         self.cache = PlanCache(plan_root, capacity=capacity)
         self.keys = PlanKeyMemo(capacity)
-        self.pool = WorkerPool(max_workers, start_method=start_method)
+        self.pool = WorkerPool(max_workers)
         self.default_timeout = float(default_timeout)
         self.tracer = tracer
         self._server: asyncio.AbstractServer | None = None

@@ -1,8 +1,13 @@
 """Executor: parallel execution, caching/resume, and failure isolation.
 
 Uses the ``repro.campaign.testing`` entry points to inject each failure mode
-(raise, hang, hard process death) into otherwise-healthy campaigns.
+(raise, hang, hard process death, unpicklable payload) into otherwise-healthy
+campaigns.
 """
+
+import multiprocessing
+import threading
+import time
 
 import pytest
 
@@ -17,6 +22,9 @@ ECHO = "repro.campaign.testing:echo_task"
 FAIL = "repro.campaign.testing:failing_task"
 SLEEP = "repro.campaign.testing:sleeping_task"
 CRASH = "repro.campaign.testing:crashing_task"
+UNPICKLABLE = "repro.campaign.testing:unpicklable_task"
+#: ``sys.exit(params)``: a task that raises ``SystemExit``.
+EXIT = "sys:exit"
 
 
 def echo_campaign(name="echo", count=4):
@@ -55,6 +63,51 @@ class TestExecution:
             run_campaign(echo_campaign(), workers=0)
         with pytest.raises(ValueError):
             run_campaign(echo_campaign(), retries=-1)
+
+    def test_serial_progress_follows_spec_order(self):
+        seen = []
+        run_campaign(echo_campaign(count=6), workers=1, progress=seen.append)
+        assert [r.payload["echo"]["index"] for r in seen] == list(range(6))
+
+    def test_worker_ids_are_small_per_run_integers(self):
+        result = run_campaign(echo_campaign(count=6), workers=2)
+        assert {r.worker_id for r in result.records} <= {0, 1}
+        serial = run_campaign(echo_campaign(count=3), workers=1)
+        assert [r.worker_id for r in serial.records] == [0, 0, 0]
+
+    def test_bookkeeping_runs_on_the_calling_thread(self, tmp_path):
+        threads = set()
+
+        class Store(ResultStore):
+            def put_record(self, record):
+                threads.add(threading.get_ident())
+                return super().put_record(record)
+
+        spec = CampaignSpec(
+            "threads",
+            tuple(TaskSpec(ECHO, {"index": i}) for i in range(4))
+            + (TaskSpec(FAIL, {"message": "x"}),),
+        )
+        run_campaign(spec, Store(tmp_path), workers=2, retries=1,
+                     progress=lambda record: threads.add(threading.get_ident()))
+        assert threads == {threading.get_ident()}
+
+    def test_a_raising_callback_reaps_every_worker(self):
+        """The first record's callback raises while a sibling task hangs:
+        the run ends at once, and no worker process outlives it."""
+        spec = CampaignSpec(
+            "abort",
+            (TaskSpec(ECHO, {"index": 0}), TaskSpec(SLEEP, {"seconds": 60})),
+        )
+
+        def progress(record):
+            raise KeyboardInterrupt
+
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(spec, workers=2, progress=progress)
+        assert time.perf_counter() - t0 < 30
+        assert multiprocessing.active_children() == []
 
     def test_unknown_entry_is_a_failed_record(self):
         spec = CampaignSpec("bad", (TaskSpec("repro.no_such_module:f", {}),))
@@ -107,6 +160,44 @@ class TestFailureIsolation:
         assert hung.failure_kind == "timeout"
         assert "0.5s timeout" in hung.traceback
         assert result.records[1].ok
+
+    def test_unpicklable_payload_is_a_failed_exception_record(self):
+        """The worker replies with the pickling error instead of a payload
+        it cannot send: no hang, no timeout, and the worker lives on."""
+        spec = CampaignSpec(
+            "unpicklable",
+            (
+                TaskSpec(ECHO, {"index": 0}),
+                TaskSpec(UNPICKLABLE, {}),
+                TaskSpec(ECHO, {"index": 2}),
+            ),
+        )
+        t0 = time.perf_counter()
+        result = run_campaign(spec, workers=1, retries=0, task_timeout=10)
+        assert time.perf_counter() - t0 < 10
+        first, bad, last = result.records
+        assert bad.status == "failed" and bad.failure_kind == "exception"
+        assert "lock" in bad.traceback
+        assert first.ok and last.ok
+        assert first.payload["pid"] == last.payload["pid"]
+
+    def test_system_exit_is_a_failed_exception_record(self):
+        """``SystemExit`` from a task is a failure with a traceback, and
+        its worker serves the next task."""
+        spec = CampaignSpec(
+            "exit",
+            (
+                TaskSpec(ECHO, {"index": 0}),
+                TaskSpec(EXIT, {"code": 5}),
+                TaskSpec(ECHO, {"index": 2}),
+            ),
+        )
+        result = run_campaign(spec, workers=1, retries=0)
+        first, exited, last = result.records
+        assert exited.status == "failed" and exited.failure_kind == "exception"
+        assert "SystemExit" in exited.traceback
+        assert first.ok and last.ok
+        assert first.payload["pid"] == last.payload["pid"]
 
     def test_bounded_retry_counts_attempts(self):
         spec = CampaignSpec("retry", (TaskSpec(FAIL, {"message": "x"}),))

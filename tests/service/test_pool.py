@@ -1,11 +1,15 @@
 """The worker pool on its own: one long-lived worker per slot.
 
-Each test drives a :class:`WorkerPool` with the small module-level jobs
-below (a pool pickles ``fn`` by reference) and checks which process ran
-them: a slot's worker serves job after job, survives a job that raises,
-and is replaced after a crash or a timeout kill; ``close()`` reaps every
-worker, busy ones included; a worker whose server is SIGKILLed exits on
-the EOF of its pipe; and the pool works under the spawn start method.
+The pool is :class:`repro.workers.WorkerPool`, which the service reaches
+as ``repro.service.pool`` and the campaign executor uses directly.  Each
+test drives it with the small module-level jobs below (a pool pickles
+``fn`` by reference) and checks which process ran them: a slot's worker
+serves job after job, survives a job that raises (``SystemExit``
+included) or returns a result that cannot be pickled, and is replaced
+after a crash or a timeout kill; the blocking ``run`` serves threads
+without an event loop; ``close()`` reaps every worker, busy ones
+included; a worker whose server is SIGKILLed exits on the EOF of its
+pipe; and the pool works under the spawn start method.
 """
 
 from __future__ import annotations
@@ -16,13 +20,15 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.service.pool import JobCrashed, JobFailed, JobTimeout, WorkerPool
+from repro.workers import JobCrashed, JobFailed, JobTimeout, WorkerPool
 
 
 def worker_pid(params: dict) -> int:
@@ -35,6 +41,14 @@ def raise_value_error(params: dict) -> None:
 
 def exit_abruptly(params: dict) -> None:
     os._exit(params["code"])
+
+
+def exit_politely(params: dict) -> None:
+    sys.exit(params["code"])
+
+
+def return_a_lock(params: dict) -> threading.Lock:
+    return threading.Lock()
 
 
 def sleep_then_pid(params: dict) -> int:
@@ -90,6 +104,34 @@ class TestOneWorkerPerSlot:
         assert "raise_value_error" in failed.traceback
         assert after == before
         assert counters["failures"] == 1
+        assert counters["spawned"] == 1
+
+    def test_system_exit_fails_and_keeps_its_worker(self):
+        async def scenario(pool):
+            before = await pool.submit(worker_pid, {})
+            with pytest.raises(JobFailed) as failed:
+                await pool.submit(exit_politely, {"code": 5})
+            after = await pool.submit(worker_pid, {})
+            return before, failed.value, after, pool.counters()
+
+        before, failed, after, counters = drive(scenario, max_workers=1)
+        assert (failed.kind, failed.message) == ("SystemExit", "5")
+        assert "exit_politely" in failed.traceback
+        assert after == before
+        assert (counters["failures"], counters["crashed"]) == (1, 0)
+
+    def test_an_unpicklable_result_fails_and_keeps_its_worker(self):
+        async def scenario(pool):
+            before = await pool.submit(worker_pid, {})
+            with pytest.raises(JobFailed) as failed:
+                await pool.submit(return_a_lock, {})
+            after = await pool.submit(worker_pid, {})
+            return before, failed.value, after, pool.counters()
+
+        before, failed, after, counters = drive(scenario, max_workers=1)
+        assert "lock" in failed.message
+        assert after == before
+        assert (counters["failures"], counters["crashed"]) == (1, 0)
         assert counters["spawned"] == 1
 
     def test_a_crash_replaces_the_worker(self):
@@ -178,6 +220,27 @@ def test_many_concurrent_jobs_keep_the_books():
         48, 16, 0)
     assert len(pids) <= counters["spawned"] <= 6
     assert multiprocessing.active_children() == []
+
+
+class TestBlockingRun:
+    def test_threads_share_the_pool_without_an_event_loop(self):
+        pool = WorkerPool(2)
+        try:
+            with ThreadPoolExecutor(2) as threads:
+                pids = list(threads.map(
+                    lambda _: pool.run(sleep_then_pid, {"seconds": 0.3}),
+                    range(2),
+                ))
+            again = pool.run(worker_pid, {})
+            with pytest.raises(JobTimeout):
+                pool.run(sleep_then_pid, {"seconds": 30}, timeout=0.2)
+            counters = pool.counters()
+        finally:
+            pool.close()
+        assert len(set(pids)) == 2 and again in pids
+        assert (counters["jobs"], counters["inflight"]) == (4, 0)
+        assert (counters["spawned"], counters["killed"]) == (2, 1)
+        assert multiprocessing.active_children() == []
 
 
 class TestClose:

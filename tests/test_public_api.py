@@ -23,6 +23,7 @@ PACKAGES = [
     "repro.viz",
     "repro.paper",
     "repro.service",
+    "repro.workers",
 ]
 
 
