@@ -3,7 +3,8 @@
 These are real entry points (importable by worker processes) used by the
 test suite and the CI campaign smoke job to inject each failure mode the
 executor must isolate: a raised exception, a hang that trips the per-task
-timeout, a hard process death, and a payload that cannot be pickled.  They live in the package, not in the
+timeout, a hard process death, a payload that cannot be pickled, and one
+that pickles but cannot be unpickled.  They live in the package, not in the
 tests, so spec files written by users (and the CI workflow) can reference
 them by dotted path.
 """
@@ -20,6 +21,7 @@ __all__ = [
     "sleeping_task",
     "crashing_task",
     "unpicklable_task",
+    "unrebuildable_task",
 ]
 
 
@@ -52,3 +54,21 @@ def unpicklable_task(params: dict) -> object:
     pickle): the executor must record a ``failed``/``exception`` record
     naming the type, not hang or file a timeout."""
     return threading.Lock()
+
+
+def _refuse_rebuild() -> None:
+    raise ValueError("this payload cannot be rebuilt")
+
+
+class _Unrebuildable:
+    """Pickles fine; unpickling calls :func:`_refuse_rebuild`, which raises."""
+
+    def __reduce__(self):
+        return (_refuse_rebuild, ())
+
+
+def unrebuildable_task(params: dict) -> object:
+    """Return a payload that pickles in the worker but raises when the
+    parent unpickles it: the executor must record a ``failed``/``exception``
+    record and keep the worker, which sent a whole reply."""
+    return _Unrebuildable()

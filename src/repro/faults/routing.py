@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..networks.base import ChannelModel, HypergraphTopology, Topology
-from ..networks.degraded import _csr_gather
 from .model import FaultModel, ResolvedFaults, UnroutableError, resolve_faults
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -153,7 +152,9 @@ class FaultAwareRouter:
         """Whether ``u -> v`` is one surviving step (adjacency probe)."""
         return v in self._graph.adjacency[u]
 
-    def _next_hop_array_detoured(self, current, dest) -> np.ndarray:
+    def _next_hop_array_detoured(
+        self, current, dest, clean=None
+    ) -> np.ndarray:
         """Vector :meth:`next_hop`: minimal detours, elementwise.
 
         Bit-identical hop choices to the scalar method: the canonical base
@@ -165,12 +166,31 @@ class FaultAwareRouter:
         ``next_hop_array`` contract.  A doomed pair raises the scalar
         method's error for the first such pair.
 
-        Reads the distance table :meth:`check_routable` warmed for every
-        destination of the job; only a destination it never saw costs a
-        BFS here.
+        ``clean`` (optional, per row) carries :meth:`check_routable`'s
+        flags for packets still on their base paths: a clean row's
+        surviving distance is its fault-free one, so its base hop is
+        alive and minimal and it skips the distance table.  Other rows
+        read the table :meth:`check_routable` built for the dirty
+        packets' destinations; a destination it never saw costs a BFS
+        here.
         """
         cur = np.asarray(current, dtype=np.int64)
         dst = np.asarray(dest, dtype=np.int64)
+        base_hops = np.asarray(
+            self._base.next_hop_array(cur, dst), dtype=np.int64
+        )
+        if clean is None:
+            return self._detour(cur, dst, base_hops)
+        dirty = np.flatnonzero(~np.asarray(clean, dtype=bool))
+        if dirty.size:
+            base_hops[dirty] = self._detour(
+                cur[dirty], dst[dirty], base_hops[dirty]
+            )
+        return base_hops
+
+    def _detour(self, cur, dst, base_hops) -> np.ndarray:
+        """The base hops with every dead or non-minimal one replaced by
+        the first (ascending) surviving neighbour one BFS hop closer."""
         graph = self._graph
         di = graph.dest_row[dst]
         if (di < 0).any():
@@ -185,28 +205,22 @@ class FaultAwareRouter:
             self.next_hop(int(cur[i]), int(dst[i]))  # raises the message
         # Equal pairs sit at distance 0 and keep the base's passthrough.
         tgt = here - 1
-        base_hops = np.asarray(
-            self._base.next_hop_array(cur, dst), dtype=np.int64
-        )
         base_ok = (here == 0) | (
             (table[di, base_hops] == tgt) & graph.edges_alive(cur, base_hops)
         )
         if base_ok.all():
             return base_hops
-        hops = np.where(base_ok, base_hops, np.int64(-1))
+        hops = base_hops.copy()
         rest = np.flatnonzero(~base_ok)
-        rows, nbrs = _csr_gather(graph.indptr, graph.indices, cur[rest])
-        at = rest[rows]
-        good = table[di[at], nbrs] == tgt[at]
-        sel_rows = rows[good]
-        # First qualifying neighbour per row: ``rows`` is non-decreasing,
-        # so the first entry of each run is the first (ascending)
-        # neighbour — the scalar scan's pick.
-        first = np.ones(sel_rows.shape[0], dtype=bool)
-        first[1:] = sel_rows[1:] != sel_rows[:-1]
-        hops[rest[sel_rows[first]]] = nbrs[good][first]
-        if (hops[rest] < 0).any():  # pragma: no cover - dist>0 => a hop
-            i = int(rest[np.argmax(hops[rest] < 0)])
+        # First (ascending) neighbour one hop closer: the scalar scan's
+        # pick.  Padding slots hold the node itself and never qualify.
+        cand = graph.neighbour_slots[:, cur[rest]]
+        good = table[di[rest], cand] == tgt[rest]
+        cols = np.arange(rest.size)
+        pick = good.argmax(axis=0)
+        hops[rest] = cand[pick, cols]
+        if not good[pick, cols].all():  # pragma: no cover - dist>0 => a hop
+            i = int(rest[np.argmin(good[pick, cols])])
             raise UnroutableError(
                 f"no surviving hop from {int(cur[i])} toward {int(dst[i])}"
             )
@@ -259,18 +273,25 @@ class FaultAwareRouter:
         return out
 
     # --------------------------------------------------------- prevalidation
-    def check_routable(self, sources, dests) -> None:
-        """Raise :class:`UnroutableError` for the first doomed packet.
+    def check_routable(self, sources, dests) -> np.ndarray | None:
+        """Raise :class:`UnroutableError` for the first doomed packet;
+        return the per-packet *clean* mask.
 
         Called by the engine before arbitration starts so a partitioned
         demand set fails fast with the offending packet named, instead of
         surfacing as a mid-run deadlock.
 
-        Vectorized: endpoint screening and the reachability probe run as
-        whole-array operations (one batched BFS covers every distinct
-        destination), with the scalar per-packet check order — source
-        down, destination down, partitioned — preserved for the first
-        offending packet so the raised message is unchanged.
+        A packet is clean when its whole fault-free base path is alive
+        (:meth:`_clean_paths`): that path is then a shortest surviving one,
+        so the packet is routable and needs no distance row.  Only the
+        destinations of the other (dirty) packets are BFS'd, in one
+        bit-parallel batch whose table also feeds the detour.  Endpoint
+        screening and the reachability probe run as whole-array
+        operations, with the scalar per-packet check order — source down,
+        destination down, partitioned — preserved for the first offending
+        packet so the raised message is unchanged.  On a structurally
+        intact machine (drops or degraded nets only) every base path is
+        alive and the mask is ``None``.
         """
         faults = self._faults
         src = np.asarray(sources, dtype=np.int64)
@@ -280,14 +301,17 @@ class FaultAwareRouter:
             src_down = np.isin(src, self._down_nodes_arr, kind="table")
             dst_down = np.isin(dst, self._down_nodes_arr, kind="table")
             bad = src_down | dst_down
-        if self._structural and src.size:
-            table, dest_row = self._graph.dest_table(dst)
-            cut = (src != dst) & (table[dest_row[dst], src] == -1)
-            bad = cut if bad is None else bad | cut
-        else:
-            cut = None
+        clean = None
+        if self._structural:
+            clean = self._clean_paths(src, dst)
+            dirty = np.flatnonzero(~clean)
+            if dirty.size:
+                table, dest_row = self._graph.dest_table(dst[dirty])
+                cut = np.zeros(src.shape, dtype=bool)
+                cut[dirty] = table[dest_row[dst[dirty]], src[dirty]] == -1
+                bad = cut if bad is None else bad | cut
         if bad is None or not bad.any():
-            return
+            return clean
         pid = int(np.argmax(bad))
         s, d = int(src[pid]), int(dst[pid])
         if faults.node_down(s):
@@ -302,6 +326,122 @@ class FaultAwareRouter:
             f"packet {pid} ({s} -> {d}) is unroutable: "
             f"faults partition the network"
         )
+
+    def _clean_paths(self, sources, dests) -> np.ndarray:
+        """Per packet: is its whole fault-free base path alive?
+
+        Only for a base discipline known to route shortest paths on this
+        topology — then an all-alive path is a shortest *surviving* path
+        too, and every base hop on it is one the detour keeps.  Mesh and
+        torus dimension order use a closed form
+        (:func:`_clean_dimension_order`); e-cube and hypermesh digit correction walk their at most
+        ``log2 N`` / ``d`` hops (:func:`_clean_walk`).  Any other base
+        discipline marks every moving packet dirty.  A packet already at
+        its destination is clean, and so is every packet on an intact
+        graph.
+        """
+        from ..networks.hypercube import Hypercube
+        from ..networks.hypermesh import Hypermesh
+        from ..networks.mesh import Mesh
+        from ..networks.torus import Torus
+        from ..sim.routers import (
+            HypercubeEcubeRouter,
+            HypermeshDigitRouter,
+            MeshDimensionOrderRouter,
+            TorusDimensionOrderRouter,
+        )
+
+        src = np.asarray(sources, dtype=np.int64)
+        dst = np.asarray(dests, dtype=np.int64)
+        topo, base, graph = self._topology, self._base, self._graph
+        if graph is None:
+            return np.ones(src.shape, dtype=bool)
+        kind = type(base)
+        radices = getattr(topo, "radices", None)
+        if kind is MeshDimensionOrderRouter and isinstance(topo, Mesh) \
+                and base._radices == radices:
+            return _clean_dimension_order(graph, radices, src, dst, False)
+        if kind is TorusDimensionOrderRouter and isinstance(topo, Torus) \
+                and base._radices == radices:
+            return _clean_dimension_order(graph, radices, src, dst, True)
+        if kind is HypercubeEcubeRouter and isinstance(topo, Hypercube):
+            hops = topo.dimension
+        elif kind is HypermeshDigitRouter and isinstance(topo, Hypermesh) \
+                and base._radices == radices:
+            hops = len(radices)
+        else:
+            return src == dst
+        return _clean_walk(base.next_hop_array, graph, src, dst, hops)
+
+
+def _clean_walk(next_hop_array, graph, src, dst, hops: int) -> np.ndarray:
+    """Clean mask by walking every packet's base path hop by hop.
+
+    Each of at most ``hops`` rounds advances the packets still short of
+    their destinations by one base hop and drops those whose hop is not
+    a surviving edge; a packet still short after ``hops`` rounds took a
+    longer path than promised and counts as dirty.
+    """
+    clean = np.ones(src.shape, dtype=bool)
+    live = np.flatnonzero(src != dst)
+    cur = src[live]
+    for _ in range(hops):
+        if not live.size:
+            break
+        to = dst[live]
+        nxt = np.asarray(next_hop_array(cur, to), dtype=np.int64)
+        ok = graph.edges_alive(cur, nxt)
+        clean[live[~ok]] = False
+        going = ok & (nxt != to)
+        live, cur = live[going], nxt[going]
+    clean[live] = False
+    return clean
+
+
+def _clean_dimension_order(
+    graph, radices, src, dst, wrap: bool
+) -> np.ndarray:
+    """Clean mask for dimension-order routing on a mesh (``wrap=False``)
+    or a torus (``wrap=True``), in closed form.
+
+    Dimension ``k``'s segment of a path runs along one line of that
+    dimension, from the node holding the destination's digits before
+    ``k`` and the source's from ``k`` on.  Per line, an exclusive prefix
+    sum over the dead links ``i -> i+1`` counts the dead links between two
+    coordinates at once.
+    A torus segment goes the shorter way round, ties toward increasing
+    coordinates, as :class:`~repro.sim.routers.TorusDimensionOrderRouter`
+    does; a segment that crosses the wrap uses every link of its ring
+    except the ones between its ends.
+    """
+    n = graph.num_nodes
+    nodes = np.arange(n, dtype=np.int64)
+    clean = np.ones(src.shape, dtype=bool)
+    cur = src
+    stride = n
+    for radix in radices:
+        stride //= radix
+        last = nodes // stride % radix == radix - 1
+        # Link i -> i+1 of each line, and r-1 -> 0 (a link on a torus only;
+        # only the ring total reads it).
+        up = nodes + np.where(last, (1 - radix) * stride, stride)
+        dead = ~graph.edges_alive(nodes, up)
+        lines = dead.reshape(n // (radix * stride), radix, stride)
+        inclusive = np.cumsum(lines, axis=1, dtype=np.int64)
+        before = (inclusive - lines).reshape(n)
+        c = cur // stride % radix
+        d = dst // stride % radix
+        nxt = cur + (d - c) * stride
+        span = np.abs(before[nxt] - before[cur])
+        if wrap:
+            ring = np.broadcast_to(
+                inclusive[:, -1:, :], lines.shape
+            ).reshape(n)
+            forward = (d - c) % radix <= (c - d) % radix
+            span = np.where(forward == (d >= c), span, ring[cur] - span)
+        clean &= span == 0
+        cur = nxt
+    return clean
 
 
 def fault_aware_router(

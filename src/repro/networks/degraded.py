@@ -235,31 +235,30 @@ def batched_surviving_distances(
     surviving graph is.  This is a bit-parallel multi-source BFS: search
     ``k`` owns bit ``k % 64`` of word ``k // 64`` in per-node ``uint64``
     bitsets, so one level of all D searches is a gather-and-OR of the
-    frontier per slot of a padded ``(maxdeg, n)`` neighbour matrix whose
-    empty slots point at the all-zero frontier row ``n``.  Each newly
-    reached bit is OR-ed into the bit planes of its level number, and the
-    planes are unpacked and summed once at the end.
+    frontier per slot of the padded ``(maxdeg, n)`` neighbour matrix
+    (:func:`_neighbour_slots`).  Each newly reached bit is OR-ed into the
+    bit planes of its level number, and the planes are unpacked and summed
+    once at the end.
     """
     n = indptr.shape[0] - 1
     dest_arr = np.asarray(dests, dtype=np.int64)
     d = dest_arr.shape[0]
     words = (d + 63) // 64
     k = np.arange(d, dtype=np.int64)
-    frontier = np.zeros((n + 1, words), dtype=np.uint64)
+    frontier = np.zeros((n, words), dtype=np.uint64)
     bits = np.uint64(1) << (k & 63).astype(np.uint64)
     np.bitwise_or.at(frontier, (dest_arr, k >> 6), bits)
-    unvisited = ~frontier[:n]
+    unvisited = ~frontier
     # Down nodes have empty rows and no row lists them: never reached.
-    deg = np.diff(indptr)
-    nbrs = np.full((max(int(deg.max(initial=0)), 1), n), n, dtype=np.int64)
-    nbrs[np.arange(indices.shape[0]) - np.repeat(indptr[:-1], deg),
-         np.repeat(np.arange(n), deg)] = indices
-    spare = np.zeros_like(frontier)  # swapped each level; row n stays 0
-    gathered = np.empty((n, words), dtype=np.uint64)
+    # A padding slot gathers the node's own frontier bits, which are
+    # visited already and masked off.
+    nbrs = _neighbour_slots(indptr, indices)
+    spare = np.empty_like(frontier)  # swapped with the frontier each level
+    gathered = np.empty_like(frontier)
     planes: list[np.ndarray] = []
     for level in count(1):
         # mode="clip" (a no-op on these indices) keeps take's out unbuffered.
-        new = np.take(frontier, nbrs[0], axis=0, out=spare[:n], mode="clip")
+        new = np.take(frontier, nbrs[0], axis=0, out=spare, mode="clip")
         for slot in nbrs[1:]:
             new |= np.take(frontier, slot, axis=0, out=gathered, mode="clip")
         new &= unvisited
@@ -282,6 +281,18 @@ def batched_surviving_distances(
             block += _unpack(plane[rows], d) * narrow.type(1 << bit)
         hops[:, rows] = block.T
     return hops
+
+
+def _neighbour_slots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``(maxdeg, n)`` matrix: column ``u`` lists ``u``'s CSR neighbours
+    in their (ascending) order, padded with ``u`` itself."""
+    n = indptr.shape[0] - 1
+    deg = np.diff(indptr)
+    slots = np.tile(np.arange(n, dtype=np.int64),
+                    (max(int(deg.max(initial=0)), 1), 1))
+    slots[np.arange(indices.shape[0]) - np.repeat(indptr[:-1], deg),
+          np.repeat(np.arange(n), deg)] = indices
+    return slots
 
 
 def _unpack(bitset: np.ndarray, width: int) -> np.ndarray:
@@ -327,6 +338,13 @@ class SurvivingGraph:
         first use: only the scalar router path and the certifier read
         them."""
         return _csr_rows(self.indptr, self.indices)
+
+    @cached_property
+    def neighbour_slots(self) -> np.ndarray:
+        """:func:`_neighbour_slots` of the CSR image.  A node is never one
+        hop closer to a destination than itself, so the padding never
+        passes the detour's "first neighbour one hop closer" test."""
+        return _neighbour_slots(self.indptr, self.indices)
 
     # ----------------------------------------------------------- distances
     def distances_list(self, dest: int) -> list[int]:

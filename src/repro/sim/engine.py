@@ -314,11 +314,22 @@ def _route_core(
     stayers keep their relative order ahead of the packets that just
     arrived, exactly the reference's ``deque`` semantics.
 
+    Proposals are cached per packet: a router is a pure function of
+    ``(current, dest)``, so a packet's proposed hop (and on a hypermesh
+    its net) changes only when the packet moves.  Each step asks the
+    router only for the packets that moved last step (all of them on the
+    first), in priority order and after the ``max_steps`` check, so a
+    blocked or retried packet is never re-proposed and the first doomed
+    pair is still the oracles' first.
+
     A fault model adds, on the same loop:
 
-    * hops from a :class:`~repro.faults.routing.FaultAwareRouter` (batched
-      BFS distance tables, warmed in one bit-parallel BFS up front) and
-      ``UnroutableError`` before the first step for a partitioned demand;
+    * hops from a :class:`~repro.faults.routing.FaultAwareRouter` and
+      ``UnroutableError`` before the first step for a partitioned demand.
+      Its ``check_routable`` marks each packet *clean* when its whole
+      fault-free base path is alive; a clean packet takes base hops with
+      no distance-table probe, and only the destinations of the other
+      packets get BFS rows (one bit-parallel batch up front);
     * on a machine with degraded hypermesh nets, a third arbitration code:
       all proposals on one degraded net share a *serial* code, so
       first-claim-wins grants at most one per step, while intact nets get
@@ -341,10 +352,11 @@ def _route_core(
     # router's (which skips hard-down nets).
     net_map = topology
     degraded_net = None  # per-net serial flag, on degraded machines only
+    clean = None  # per-packet "base path all alive", on broken machines only
     if fault_model is not None:
         if not isinstance(router, FaultAwareRouter):
             router = FaultAwareRouter(topology, router, fault_model)
-        router.check_routable(sources, dests)
+        clean = router.check_routable(sources, dests)
         net_map = router
         degraded_nets = router.faults.degraded_nets
         if hypergraph and degraded_nets:
@@ -362,6 +374,9 @@ def _route_core(
     position = np.array(sources, dtype=np.int64)
     dest = np.array(dests, dtype=np.int64)
     ints = list(range(max(npk, n))) if on_step is not None else None
+    # Each in-flight packet's proposal, kept until the packet moves.
+    hop_of = np.empty(npk, dtype=np.int64)
+    net_of = np.empty(npk, dtype=np.int64) if hypergraph else None
 
     # Priority order: node index ascending, FIFO position within the node.
     # Initial FIFO position is packet-id order (the reference fills queues
@@ -369,6 +384,7 @@ def _route_core(
     # by position *is* the initial priority order.
     queued = np.flatnonzero(position != dest)
     order = queued[np.argsort(position[queued], kind="mergesort")]
+    fresh = order  # packets without a proposal, in priority order
     in_flight = int(order.size)
     if fault_model is not None:
         attempts = np.zeros(npk, dtype=np.int64)
@@ -391,39 +407,51 @@ def _route_core(
                 f"{in_flight} packets undelivered after {max_steps} steps"
             )
         pos = position[order]
-        dst = dest[order]
-        if next_hop_array is not None:
-            # In-flight packets never sit at their destination, so the
-            # equal-pair passthrough never fires and every row is a real
-            # proposal.
-            hops = np.asarray(next_hop_array(pos, dst), dtype=np.int64)
-        else:
-            hops = np.empty(in_flight, dtype=np.int64)
-            pos_list = pos.tolist()
-            dst_list = dst.tolist()
-            for i in range(in_flight):
-                hop = next_hop(pos_list[i], dst_list[i])
-                hops[i] = _NO_HOP if hop is None else hop
-        proposing = hops != _NO_HOP
-
-        if hypergraph:
-            if shared_net_array is not None:
-                nets = np.asarray(
-                    shared_net_array(pos, np.where(proposing, hops, pos)),
+        if fresh.size:
+            at = position[fresh]
+            to = dest[fresh]
+            if next_hop_array is None:
+                new_hops = np.array(
+                    [_NO_HOP if hop is None else hop
+                     for hop in map(next_hop, at.tolist(), to.tolist())],
                     dtype=np.int64,
                 )
+            elif clean is None:
+                # In-flight packets never sit at their destination, so the
+                # equal-pair passthrough never fires and every row is a
+                # real proposal.
+                new_hops = np.asarray(next_hop_array(at, to), dtype=np.int64)
             else:
-                nets = np.full(in_flight, -1, dtype=np.int64)
-                for i in np.flatnonzero(proposing).tolist():
-                    net = shared_net(int(pos[i]), int(hops[i]))
-                    nets[i] = -1 if net is None else net
-            bad = proposing & (nets < 0)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ScheduleError(
-                    f"router proposed non-net hop {int(pos[i])} -> "
-                    f"{int(hops[i])}"
+                new_hops = np.asarray(
+                    next_hop_array(at, to, clean[fresh]), dtype=np.int64
                 )
+            hop_of[fresh] = new_hops
+            if hypergraph:
+                new_proposing = new_hops != _NO_HOP
+                if shared_net_array is not None:
+                    new_nets = np.asarray(
+                        shared_net_array(
+                            at, np.where(new_proposing, new_hops, at)
+                        ),
+                        dtype=np.int64,
+                    )
+                else:
+                    new_nets = np.full(fresh.size, -1, dtype=np.int64)
+                    for i in np.flatnonzero(new_proposing).tolist():
+                        net = shared_net(int(at[i]), int(new_hops[i]))
+                        new_nets[i] = -1 if net is None else net
+                bad = new_proposing & (new_nets < 0)
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    raise ScheduleError(
+                        f"router proposed non-net hop {int(at[i])} -> "
+                        f"{int(new_hops[i])}"
+                    )
+                net_of[fresh] = new_nets
+        hops = hop_of[order]
+        proposing = hops != _NO_HOP
+        if hypergraph:
+            nets = net_of[order]
 
         # --- arbitration: indices into `order`, ascending == grant order
         if fifo:
@@ -510,8 +538,11 @@ def _route_core(
         position[grant_pids] = grant_hops
         arrived = grant_hops == dest[grant_pids]
         gone[granted_idx] = True
-        survivors = np.concatenate((order[~gone], grant_pids[~arrived]))
-        order = survivors[np.argsort(position[survivors], kind="mergesort")]
+        stayers = order[~gone]
+        survivors = np.concatenate((stayers, grant_pids[~arrived]))
+        rank = np.argsort(position[survivors], kind="mergesort")
+        order = survivors[rank]
+        fresh = order[rank >= stayers.size]  # the movers still in flight
         in_flight = int(order.size)
         delivered += int(np.count_nonzero(arrived))
 

@@ -89,18 +89,21 @@ class MeshDimensionOrderRouter:
         Returns ``current`` unchanged where ``current == dest`` (the array
         analogue of ``None``); callers routing in-flight packets never hit
         that case.  Bit-identical to the scalar method elsewhere.
+
+        Row-major addresses compare like their digit strings, so
+        ``dest // stride - current // stride`` is zero exactly when the
+        digits down to ``stride``'s agree, and otherwise has the sign of
+        the first differing one.  Overwriting the step from the innermost
+        dimension out leaves the first differing dimension's; the
+        innermost step is ``sign(dest - current)``.
         """
         cur = np.asarray(current, dtype=np.int64)
         dst = np.asarray(dest, dtype=np.int64)
-        out = cur.copy()
-        undecided = np.ones(cur.shape, dtype=bool)
-        for radix, stride in zip(self._radices, self._stride):
-            c = (cur // stride) % radix
-            d = (dst // stride) % radix
-            pick = undecided & (c != d)
-            out = np.where(pick, cur + np.where(d > c, stride, -stride), out)
-            undecided &= ~pick
-        return out
+        step = np.sign(dst - cur)
+        for stride in self._stride[-2::-1]:
+            ahead = dst // stride - cur // stride
+            step = np.where(ahead != 0, np.sign(ahead) * stride, step)
+        return cur + step
 
 
 class TorusDimensionOrderRouter:
@@ -111,6 +114,10 @@ class TorusDimensionOrderRouter:
         self._torus = torus
         self._radices = torus.radices
         self._stride = _strides(torus.radices)
+        self._moves = tuple(
+            _torus_moves(extent, stride)
+            for extent, stride in zip(self._radices, self._stride)
+        )
 
     def next_hop(self, current: int, dest: int) -> int | None:
         if current == dest:
@@ -130,22 +137,39 @@ class TorusDimensionOrderRouter:
 
         Same contract as ``MeshDimensionOrderRouter.next_hop_array``:
         positions equal to their destination pass through unchanged.
+
+        Digits are peeled off from the outermost dimension in, one
+        division per address and dimension (integer ``%`` costs as much
+        as ``//``), and each dimension's move is looked up in a small
+        ``(extent, extent)`` table built from the scalar rule.  A move is
+        zero exactly where the digits agree, so the first nonzero one, in
+        dimension order, is the hop.
         """
         cur = np.asarray(current, dtype=np.int64)
         dst = np.asarray(dest, dtype=np.int64)
-        out = cur.copy()
-        undecided = np.ones(cur.shape, dtype=bool)
-        for extent, stride in zip(self._radices, self._stride):
-            c = (cur // stride) % extent
-            d = (dst // stride) % extent
-            pick = undecided & (c != d)
-            forward = (d - c) % extent
-            backward = (c - d) % extent
-            step = np.where(forward <= backward, 1, -1)
-            hop = cur + ((c + step) % extent - c) * stride
-            out = np.where(pick, hop, out)
-            undecided &= ~pick
-        return out
+        step = None
+        rest_c, rest_d = cur, dst
+        for extent, stride, moves in zip(
+            self._radices, self._stride, self._moves
+        ):
+            c = rest_c // stride
+            d = rest_d // stride
+            if stride > 1:
+                rest_c = rest_c - c * stride
+                rest_d = rest_d - d * stride
+            move = moves[c * extent + d]
+            step = move if step is None else np.where(step == 0, move, step)
+        return cur + step
+
+
+def _torus_moves(extent: int, stride: int) -> np.ndarray:
+    """``moves[c * extent + d]``: the address change of one
+    :class:`TorusDimensionOrderRouter` hop along a dimension from digit
+    ``c`` toward digit ``d`` (0 where they agree)."""
+    c, d = np.divmod(np.arange(extent * extent, dtype=np.int64), extent)
+    forward = (d - c) % extent <= (c - d) % extent
+    nxt = (c + np.where(forward, 1, -1)) % extent
+    return np.where(c == d, 0, (nxt - c) * stride)
 
 
 class HypercubeEcubeRouter:
@@ -255,11 +279,12 @@ def route_path(
 ) -> tuple[int, ...]:
     """Full hop sequence ``source .. dest`` under a deterministic router.
 
-    The engine's per-packet next-hop cache is this path materialized lazily;
-    ``route_path`` computes it eagerly for tests, diagnostics, and distance
-    checks.  ``limit``, when given, caps the number of hops and raises
-    ``ValueError`` when exceeded, which catches routers that cycle instead
-    of converging.
+    The engine walks this path lazily: it keeps each packet's proposed
+    next hop and asks the router again only after the packet moves, so it
+    asks once per position on the path.  ``route_path`` computes the path
+    eagerly for tests, diagnostics, and distance checks.  ``limit``, when
+    given, caps the number of hops and raises ``ValueError`` when
+    exceeded, which catches routers that cycle instead of converging.
     """
     path = [source]
     current = source

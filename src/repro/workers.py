@@ -19,7 +19,8 @@ keeps long-lived worker processes and kills one when its job overruns:
   pipe (``recv (fn, params) -> fn(params) -> send``);
 * a job that raises an ``Exception`` or ``SystemExit`` comes back as
   :class:`JobFailed` and its worker stays; so does a job whose result
-  cannot be pickled (the worker replies with the pickling error instead);
+  cannot be pickled (the worker replies with the pickling error instead)
+  or cannot be unpickled in the parent (the reply was read whole);
 * on timeout the worker is **killed** (SIGKILL) and the caller gets
   :class:`JobTimeout`; the slot starts a fresh worker on its next job,
   and the half-written plan blob the dead worker may leave behind is
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -224,7 +226,7 @@ class WorkerPool:
                     with self._lock:
                         self.killed += 1
                     raise JobTimeout(timeout)
-                message = worker.conn.recv()  # blocks; EOF when the worker dies
+                data = worker.conn.recv_bytes()  # EOF when the worker dies
             except (EOFError, OSError):
                 worker.proc.join()
                 with self._lock:
@@ -233,7 +235,12 @@ class WorkerPool:
             replied = True
         finally:
             self._checkin(worker, replied)
-        return message
+        # The whole reply was read, so a reply that fails to unpickle here
+        # is the job's failure, not its worker's.
+        try:
+            return pickle.loads(data)
+        except Exception as exc:
+            return _error(exc)
 
     def _checkout(self) -> _Worker:
         """A live idle worker, else a freshly started one; marked busy.

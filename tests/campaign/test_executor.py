@@ -1,7 +1,7 @@
 """Executor: parallel execution, caching/resume, and failure isolation.
 
 Uses the ``repro.campaign.testing`` entry points to inject each failure mode
-(raise, hang, hard process death, unpicklable payload) into otherwise-healthy
+(raise, hang, hard process death, unpicklable and unrebuildable payloads) into otherwise-healthy
 campaigns.
 """
 
@@ -23,6 +23,7 @@ FAIL = "repro.campaign.testing:failing_task"
 SLEEP = "repro.campaign.testing:sleeping_task"
 CRASH = "repro.campaign.testing:crashing_task"
 UNPICKLABLE = "repro.campaign.testing:unpicklable_task"
+UNREBUILDABLE = "repro.campaign.testing:unrebuildable_task"
 #: ``sys.exit(params)``: a task that raises ``SystemExit``.
 EXIT = "sys:exit"
 
@@ -180,6 +181,39 @@ class TestFailureIsolation:
         assert "lock" in bad.traceback
         assert first.ok and last.ok
         assert first.payload["pid"] == last.payload["pid"]
+
+    def test_unrebuildable_payload_is_a_failed_exception_record(
+        self, monkeypatch
+    ):
+        """A payload that pickles in the worker but cannot be unpickled in
+        the parent fails its task alone: the campaign goes on, and the
+        worker, which sent a whole reply, is not counted as crashed."""
+        from repro.campaign import executor
+
+        pools = []
+
+        class RecordingPool(executor.WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(executor, "WorkerPool", RecordingPool)
+        spec = CampaignSpec(
+            "unrebuildable",
+            (
+                TaskSpec(ECHO, {"index": 0}),
+                TaskSpec(UNREBUILDABLE, {}),
+                TaskSpec(ECHO, {"index": 2}),
+            ),
+        )
+        result = run_campaign(spec, workers=1, retries=0)
+        first, bad, last = result.records
+        assert bad.status == "failed" and bad.failure_kind == "exception"
+        assert "this payload cannot be rebuilt" in bad.traceback
+        assert first.ok and last.ok
+        assert first.payload["pid"] == last.payload["pid"]
+        (pool,) = pools
+        assert (pool.crashed, pool.failures) == (0, 1)
 
     def test_system_exit_is_a_failed_exception_record(self):
         """``SystemExit`` from a task is a failure with a traceback, and

@@ -5,7 +5,8 @@ as ``repro.service.pool`` and the campaign executor uses directly.  Each
 test drives it with the small module-level jobs below (a pool pickles
 ``fn`` by reference) and checks which process ran them: a slot's worker
 serves job after job, survives a job that raises (``SystemExit``
-included) or returns a result that cannot be pickled, and is replaced
+included) or returns a result that cannot be pickled or unpickled, and
+is replaced
 after a crash or a timeout kill; the blocking ``run`` serves threads
 without an event loop; ``close()`` reaps every worker, busy ones
 included; a worker whose server is SIGKILLed exits on the EOF of its
@@ -28,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.campaign.testing import unrebuildable_task
 from repro.workers import JobCrashed, JobFailed, JobTimeout, WorkerPool
 
 
@@ -130,6 +132,24 @@ class TestOneWorkerPerSlot:
 
         before, failed, after, counters = drive(scenario, max_workers=1)
         assert "lock" in failed.message
+        assert after == before
+        assert (counters["failures"], counters["crashed"]) == (1, 0)
+        assert counters["spawned"] == 1
+
+    def test_an_unrebuildable_result_fails_and_keeps_its_worker(self):
+        """A reply that pickles in the worker but raises when the parent
+        unpickles it was read whole: a :class:`JobFailed`, not a crash."""
+        async def scenario(pool):
+            before = await pool.submit(worker_pid, {})
+            with pytest.raises(JobFailed) as failed:
+                await pool.submit(unrebuildable_task, {})
+            after = await pool.submit(worker_pid, {})
+            return before, failed.value, after, pool.counters()
+
+        before, failed, after, counters = drive(scenario, max_workers=1)
+        assert (failed.kind, failed.message) == (
+            "ValueError", "this payload cannot be rebuilt"
+        )
         assert after == before
         assert (counters["failures"], counters["crashed"]) == (1, 0)
         assert counters["spawned"] == 1
