@@ -302,5 +302,6 @@ def run_commavoiding_task(params: dict) -> dict:
         "verified": 1,
         "bound": cert.bound,
         "bound_ratio": cert.ratio,
+        "bound_kind": cert.binding,
         "certified": cert.holds,
     }

@@ -7,15 +7,19 @@ x workload), and these specs encode them declaratively.
 
 from __future__ import annotations
 
-from ..sim.task import TOPOLOGY_BUILDERS
+from ..sim.task import PAPER_TOPOLOGIES, TOPOLOGY_BUILDERS, WORKLOAD_BUILDERS
 from .spec import CampaignSpec, TaskSpec
 
-__all__ = ["BUILTIN_CAMPAIGNS", "builtin_campaign", "list_builtin_campaigns"]
+__all__ = [
+    "BUILTIN_CAMPAIGNS",
+    "builtin_campaign",
+    "list_builtin_campaigns",
+    "staged_tasks",
+]
 
 #: Even powers of two only: every topology in the grid needs a square side
 #: (mesh/hypermesh) and a power-of-two node count (hypercube).
 ENGINE_SWEEP_SIZES = (64, 256, 1024, 4096)
-ENGINE_SWEEP_TOPOLOGIES = ("mesh2d", "hypercube", "hypermesh2d")
 ENGINE_SWEEP_WORKLOADS = ("dense-permutation", "bit-reversal", "sparse-hrelation")
 
 
@@ -26,7 +30,7 @@ def _engine_sweep() -> CampaignSpec:
         "engine-sweep",
         "repro.sim.task:run_routing_task",
         {
-            "topology": list(ENGINE_SWEEP_TOPOLOGIES),
+            "topology": list(PAPER_TOPOLOGIES),
             "n": list(ENGINE_SWEEP_SIZES),
             "workload": list(ENGINE_SWEEP_WORKLOADS),
         },
@@ -68,7 +72,7 @@ def _engine_sweep_cached() -> CampaignSpec:
         "engine-sweep-cached",
         "repro.sim.task:run_routing_task",
         {
-            "topology": list(ENGINE_SWEEP_TOPOLOGIES),
+            "topology": list(PAPER_TOPOLOGIES),
             "n": list(ENGINE_SWEEP_SIZES),
             "workload": list(ENGINE_SWEEP_WORKLOADS),
         },
@@ -80,9 +84,32 @@ def _engine_sweep_cached() -> CampaignSpec:
     )
 
 
-#: Grid axes for the communication-avoiding sweep.  Square powers of two
+def staged_tasks(topology: str, n: int) -> tuple[TaskSpec, ...]:
+    """The staged (SIMD machine) cells of one ``(topology, n)``: the
+    systolic and hyper-systolic convolutions, then the APE four-step FFT.
+
+    Each payload is verified against numpy and certified against the
+    :mod:`repro.bounds` superstep-sum floor.
+    """
+    convolutions = tuple(
+        TaskSpec(
+            entry="repro.algos.hypersystolic:run_commavoiding_task",
+            params={"topology": topology, "n": n, "method": method, "seed": 99},
+            label=f"{method}-{topology}-n{n}",
+        )
+        for method in ("systolic", "hyper-systolic")
+    )
+    return convolutions + (
+        TaskSpec(
+            entry="repro.fft.ape:run_ape_fft_task",
+            params={"topology": topology, "n": n, "seed": 99},
+            label=f"ape-fft-{topology}-n{n}",
+        ),
+    )
+
+
+#: Node counts of the communication-avoiding sweep.  Square powers of two
 #: fit every topology family (and the APE FFT's square PE layout).
-COMM_AVOIDING_TOPOLOGIES = tuple(TOPOLOGY_BUILDERS)
 COMM_AVOIDING_SIZES = (64, 256, 1024)
 
 
@@ -98,36 +125,57 @@ def _comm_avoiding() -> CampaignSpec:
     certifies the achieved step count against the :mod:`repro.bounds`
     superstep-sum floor: a two-sided claim per cell.
     """
-    tasks = []
-    for topology in COMM_AVOIDING_TOPOLOGIES:
-        for n in COMM_AVOIDING_SIZES:
-            for method in ("systolic", "hyper-systolic"):
-                tasks.append(
-                    TaskSpec(
-                        entry="repro.algos.hypersystolic:run_commavoiding_task",
-                        params={
-                            "topology": topology,
-                            "n": n,
-                            "method": method,
-                            "seed": 99,
-                        },
-                        label=f"{method}-{topology}-n{n}",
-                    )
-                )
-            tasks.append(
-                TaskSpec(
-                    entry="repro.fft.ape:run_ape_fft_task",
-                    params={"topology": topology, "n": n, "seed": 99},
-                    label=f"ape-fft-{topology}-n{n}",
-                )
-            )
     return CampaignSpec(
         "comm-avoiding",
-        tuple(tasks),
+        tuple(
+            task
+            for topology in TOPOLOGY_BUILDERS
+            for n in COMM_AVOIDING_SIZES
+            for task in staged_tasks(topology, n)
+        ),
         meta={
             "description": "communication-avoiding workloads: systolic vs "
             "hyper-systolic convolution and the APE four-step FFT, "
             "verified and bound-certified",
+        },
+    )
+
+
+def _certify() -> CampaignSpec:
+    """4 topologies x 2 sizes x (3 routed workloads + 3 staged ones) = 48
+    certified cells — ``repro certify``, CI's cert-gate.
+
+    Every cell's measured step count is certified against its
+    :mod:`repro.bounds` floor.  A cell that undercuts its floor raises
+    :class:`~repro.bounds.BoundViolation` and an APE FFT cell with a wrong
+    spectrum raises :class:`~repro.fft.ape.SpectrumMismatch`; either is a
+    failed task, so the run exits 1.
+    """
+    tasks = []
+    for topology in TOPOLOGY_BUILDERS:
+        for n in (16, 64):
+            tasks.extend(
+                TaskSpec(
+                    entry="repro.sim.task:run_routing_task",
+                    params={
+                        "topology": topology,
+                        "n": n,
+                        "workload": workload,
+                        "seed": 99,
+                        "certify": True,
+                    },
+                    label=f"{workload}-{topology}-n{n}",
+                )
+                for workload in WORKLOAD_BUILDERS
+            )
+            tasks.extend(staged_tasks(topology, n))
+    return CampaignSpec(
+        "certify",
+        tuple(tasks),
+        meta={
+            "description": "certified-bounds sweep: achieved steps vs "
+            "their analytic floors, every topology, routed and staged",
+            "columns": ["steps", "bound", "bound_ratio", "bound_kind"],
         },
     )
 
@@ -197,6 +245,8 @@ def _chaos_sweep() -> CampaignSpec:
         meta={
             "description": "degraded-mode sweep: routing time vs fraction "
             "of failed links (and degraded hypermesh nets), seeded faults",
+            "columns": ["steps", "delivered", "dropped", "retried",
+                        "unroutable", "error"],
         },
     )
 
@@ -225,6 +275,7 @@ BUILTIN_CAMPAIGNS = {
     "engine-sweep-small": _engine_sweep_small,
     "engine-sweep-cached": _engine_sweep_cached,
     "comm-avoiding": _comm_avoiding,
+    "certify": _certify,
     "chaos-sweep": _chaos_sweep,
     "paper": _paper,
     "paper-smoke": _paper_smoke,

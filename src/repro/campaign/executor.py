@@ -106,7 +106,7 @@ def run_campaign(
         Optional result store.  With a store attached, tasks whose stored
         record is already a success are served as cache hits (``reuse=True``),
         and every newly completed task is persisted immediately — this is
-        what makes ``--resume`` after a mid-flight kill execute only the
+        what makes a re-run after a mid-flight kill execute only the
         remaining tasks.  ``store=None`` runs everything in memory.
     workers:
         Worker processes, each driven by one thread of this process; a
@@ -115,7 +115,8 @@ def run_campaign(
         isolation and timeouts behave identically at any width.
     task_timeout:
         Per-task wall-clock budget in seconds; an over-budget task's worker
-        is SIGKILLed and replaced.  ``None`` disables the deadline.
+        is SIGKILLed and replaced.  ``None`` disables the deadline; a
+        budget of 0 or less, which every task would overrun, is refused.
     retries:
         Extra attempts per task after the first failure (exception, timeout
         or crash) before it is recorded as ``failed``.
@@ -129,6 +130,8 @@ def run_campaign(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
+    if task_timeout is not None and task_timeout <= 0:
+        raise ValueError(f"task_timeout must be > 0 seconds, got {task_timeout}")
 
     t_start = time.perf_counter()
     if store is not None:

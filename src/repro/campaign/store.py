@@ -9,8 +9,8 @@ Layout (one directory per campaign, default root ``results/campaigns/``)::
 
 The blob name is the task's content hash (entry + params), so the store
 doubles as a cache: a task whose blob already records ``status == "ok"`` is
-served from disk instead of re-executed, which is what makes ``--resume``
-and repeat invocations cheap.  Blobs are written atomically (tmp + rename)
+served from disk instead of re-executed, which is what makes resuming a
+killed run and repeat invocations cheap.  Blobs are written atomically (tmp + rename)
 and the manifest is append-only, so a run killed mid-flight leaves every
 completed task durable and nothing half-written.
 """

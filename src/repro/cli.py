@@ -12,6 +12,8 @@ Usage (installed as ``repro``, or ``python -m repro``)::
     repro campaign run engine-sweep --workers 4   # parallel resumable sweep
     repro campaign status engine-sweep            # done / failed / pending
     repro campaign report engine-sweep            # BENCH-style JSON report
+    repro certify           # every cell: achieved steps >= analytic floor
+    repro faults            # routing cost vs failed links / degraded nets
     repro trace all --n 64 --summary              # JSONL observability traces
     repro profile engine-hypermesh                # cProfile top-N as JSON
 
@@ -19,6 +21,9 @@ The paper verbs (``tables``, ``section4``, ``bisection``, ``sweep``,
 ``figures``, ``omega``, ``universality``, ``shapes``) and ``experiment``
 are aliases of ``repro paper --sections ...`` at the full profile that
 print what they regenerate instead of writing it (:data:`PAPER_VERBS`).
+``certify`` and ``faults`` are aliases of ``repro campaign run <built-in>
+--force`` (:data:`CAMPAIGN_VERBS`); a custom grid is a spec-JSON file for
+``repro campaign run``.
 
 Subcommands return a nonzero exit code when what they ran failed (a
 drifting golden cell, a campaign task that fails), so the CLI composes
@@ -53,8 +58,15 @@ PAPER_VERBS: dict[str, tuple[tuple[str, ...], str]] = {
     "shapes": (("shapes",), "compare the 8^4 / 16^3 / 64^2 hypermesh shapes"),
 }
 
+#: Each campaign verb is ``repro campaign run <this built-in> --force``
+#: with every other setting the ``campaign run`` default: ``certify``
+#: certifies every cell against its analytic floor (CI's cert-gate), and
+#: ``faults`` charts the degraded-mode feasibility cliff.
+CAMPAIGN_VERBS: dict[str, str] = {"certify": "certify", "faults": "chaos-sweep"}
 
-def _cmd_fft(args: argparse.Namespace) -> None:
+
+def _cmd_fft(args: argparse.Namespace) -> int:
+    from .fft.ape import SpectrumMismatch, check_spectrum
     from .fft.parallel import parallel_fft
     from .networks import Hypercube, Hypermesh2D, Mesh2D
     from .networks.addressing import ilog2
@@ -63,19 +75,28 @@ def _cmd_fft(args: argparse.Namespace) -> None:
     n = side * side
     rng = np.random.default_rng(args.seed)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    expected = np.fft.fft(x)
+    mismatches = []
     print(f"== {n}-point parallel FFT, one sample per PE ==")
     for topo in (Mesh2D(side), Hypercube(ilog2(n)), Hypermesh2D(side)):
+        name = type(topo).__name__
         result = parallel_fft(topo, x, validate=True)
-        ok = np.allclose(result.spectrum, expected)
+        try:
+            check_spectrum(result.spectrum, x, f"{name} n={n}")
+            ok = True
+        except SpectrumMismatch as exc:
+            mismatches.append(exc)
+            ok = False
         print(
-            f"{type(topo).__name__:12s}: numpy-agreement={ok}  "
+            f"{name:12s}: numpy-agreement={ok}  "
             f"transfer steps={result.data_transfer_steps}  "
             f"compute steps={result.computation_steps}"
         )
+    for exc in mismatches:
+        print(f"error: SpectrumMismatch: {exc}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
-def _cmd_sort(args: argparse.Namespace) -> None:
+def _cmd_sort(args: argparse.Namespace) -> int:
     from .networks import Hypercube, Hypermesh2D, Mesh2D
     from .networks.addressing import ilog2
     from .sort.bitonic import parallel_bitonic_sort
@@ -84,15 +105,24 @@ def _cmd_sort(args: argparse.Namespace) -> None:
     n = side * side
     rng = np.random.default_rng(args.seed)
     keys = rng.normal(size=n)
+    unsorted = []
     print(f"== {n}-key parallel bitonic sort, one key per PE ==")
     for topo in (Mesh2D(side), Hypercube(ilog2(n)), Hypermesh2D(side)):
+        name = type(topo).__name__
         result = parallel_bitonic_sort(topo, keys, validate=True)
         ok = bool(np.all(np.diff(result.keys) >= 0))
+        if not ok:
+            unsorted.append(name)
         print(
-            f"{type(topo).__name__:12s}: sorted={ok}  "
+            f"{name:12s}: sorted={ok}  "
             f"transfer steps={result.data_transfer_steps}  "
             f"passes={result.computation_steps}"
         )
+    if unsorted:
+        print(f"error: bitonic sort left the keys unsorted on "
+              f"{', '.join(unsorted)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -130,6 +160,13 @@ def _load_campaign_spec(ref: str):
     return builtin_campaign(ref)
 
 
+def _payload_cell(payload, column: str) -> object:
+    value = payload.get(column) if isinstance(payload, dict) else None
+    if value is None:
+        return "-"
+    return f"{value:.2f}" if isinstance(value, float) else value
+
+
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from .campaign import ResultStore, format_status_table, run_campaign
 
@@ -148,23 +185,40 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         f"== campaign {spec.name}: {len(spec)} tasks, "
         f"{args.workers} worker(s), store {store.root} =="
     )
-    result = run_campaign(
-        spec,
-        store,
-        workers=args.workers,
-        task_timeout=args.timeout,
-        retries=args.retries,
-        reuse=not args.force,
-        progress=progress,
-    )
+    try:
+        result = run_campaign(
+            spec,
+            store,
+            workers=args.workers,
+            task_timeout=args.timeout,
+            retries=args.retries,
+            reuse=not args.force,
+            progress=progress,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     s = result.summary
     print(format_status_table(result.records))
+    # A spec's meta["columns"] names the payload keys worth a table: one
+    # row per task, "-" where a payload lacks the key (or the task failed).
+    columns = spec.meta.get("columns")
+    if columns:
+        print(format_table(
+            ["task", *columns],
+            [
+                [r.label or r.task_hash,
+                 *(_payload_cell(r.payload, c) for c in columns)]
+                for r in result.records
+            ],
+        ))
     print(
         f"{s.ok}/{s.total} ok, {s.failed} failed, {s.cache_hits} cache hits, "
         f"{s.executed} executed in {s.wall_seconds:.2f}s "
         f"(task time {s.task_seconds:.2f}s)"
     )
     if not result.ok:
+        print(f"error: {s.failed} of {s.total} task(s) failed", file=sys.stderr)
         for record in result.records:
             if not record.ok:
                 print(f"-- {record.label} [{record.failure_kind}] --", file=sys.stderr)
@@ -225,20 +279,21 @@ def _cmd_campaign_list(args: argparse.Namespace) -> int:
     return 0
 
 
-_TRACE_TOPOLOGIES = ("mesh2d", "hypercube", "hypermesh2d")
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Route one seeded workload per topology and write a JSONL trace."""
     from pathlib import Path
 
     from .obs import JsonlTraceFile, LinkUtilizationProbe, Tracer
     from .sim.engine import route_demands
-    from .sim.task import TOPOLOGY_BUILDERS, build_topology, build_workload
-    from .viz.series import format_table
+    from .sim.task import (
+        PAPER_TOPOLOGIES,
+        TOPOLOGY_BUILDERS,
+        build_topology,
+        build_workload,
+    )
 
     if args.target == "all":
-        targets = list(_TRACE_TOPOLOGIES)
+        targets = list(PAPER_TOPOLOGIES)
     elif args.target in TOPOLOGY_BUILDERS:
         targets = [args.target]
     else:
@@ -388,246 +443,6 @@ def _cmd_plans_stats(args: argparse.Namespace) -> int:
         with Tracer("plans-stats", JsonlTraceFile(args.trace_out)) as tracer:
             cache.emit_counters(tracer)
         print(f"wrote {args.trace_out}")
-    return 0
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    """Degraded-mode sweep: routing cost vs fraction of failed links.
-
-    Routes one seeded workload through the chosen topology repeatedly,
-    failing a growing fraction of its links (sampled deterministically from
-    ``--fault-seed``), and tabulates steps / delivered / dropped / retried
-    per fraction.  Hypermesh (hypergraph) machines have nets rather than
-    links, so there the sweep degrades 0, 1, 2, ... nets to serialized
-    sub-transfers instead.  Partitioned cells are reported as
-    ``unroutable`` rows, not errors — the feasibility cliff is the result.
-    """
-    from .faults import FaultModel, UnroutableError
-    from .networks.base import ChannelModel
-    from .sim.engine import route_demands
-    from .sim.task import TOPOLOGY_BUILDERS, build_topology, build_workload
-    from .viz.series import format_table
-
-    if args.topology not in TOPOLOGY_BUILDERS:
-        print(
-            f"error: unknown topology {args.topology!r}; known: "
-            f"{sorted(TOPOLOGY_BUILDERS)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        # Invalid arguments — a node count the topology family rejects, an
-        # unknown workload, an out-of-range drop probability or negative
-        # retry limit — exit 2 with the message on stderr, like the
-        # unknown-topology branch above, rather than as tracebacks.
-        topology = build_topology(args.topology, args.n)
-        sources, dests = build_workload(args.workload, args.n, args.seed)
-        demands = list(zip(sources, dests))
-        hypergraph = topology.channel_model is ChannelModel.HYPERGRAPH_NET
-
-        if hypergraph:
-            fault_grid = [
-                ("degraded-nets", k, FaultModel(
-                    seed=args.fault_seed,
-                    degraded_nets=frozenset(range(k)),
-                    drop_prob=args.drop_prob,
-                    retry_limit=args.retry_limit,
-                ))
-                for k in range(args.max_degraded_nets + 1)
-            ]
-            axis = "nets degraded"
-        else:
-            fault_grid = [
-                ("link-fraction", frac, FaultModel(
-                    seed=args.fault_seed,
-                    link_fail_fraction=frac,
-                    drop_prob=args.drop_prob,
-                    retry_limit=args.retry_limit,
-                ))
-                for frac in args.fractions
-            ]
-            axis = "links failed"
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    rows = []
-    for _kind, amount, model in fault_grid:
-        label = f"{amount:.2f}" if not hypergraph else str(amount)
-        try:
-            routed = route_demands(
-                topology, demands,
-                fault_model=model if model.enabled else None,
-            )
-        except UnroutableError as exc:
-            rows.append([label, "unroutable", "-", "-", "-", str(exc)])
-            continue
-        except ValueError as exc:
-            # A fault the machine cannot hold (more degraded nets than it
-            # has) exits 2 with the message on stderr, like every other
-            # invalid argument here.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        s = routed.stats
-        rows.append(
-            [label, s.steps, s.delivered, s.dropped, s.retried, ""]
-        )
-    print(
-        f"{args.topology} n={args.n} {args.workload} seed={args.seed} "
-        f"fault-seed={args.fault_seed} drop-prob={args.drop_prob}"
-    )
-    print(format_table(
-        [axis, "steps", "delivered", "dropped", "retried", "note"], rows
-    ))
-    return 0
-
-
-#: Staged (SIMD machine) workloads ``repro certify`` can certify alongside
-#: the routed workloads of :data:`repro.sim.task.WORKLOAD_BUILDERS`.
-CERTIFY_STAGED_WORKLOADS = ("systolic", "hyper-systolic", "ape-fft")
-
-
-def _certify_cell(topology_name: str, n: int, workload: str, seed: int) -> dict:
-    """One certification cell: route/run the workload, certify its steps.
-
-    Returns the certified payload (``steps``/``bound``/``bound_ratio``/
-    ``bound_kind``); raises :class:`repro.bounds.BoundViolation` when the
-    floor is undercut, and :class:`repro.fft.ape.SpectrumMismatch` when
-    the APE FFT computes a wrong spectrum.
-    """
-    from .algos.hypersystolic import run_commavoiding_task
-    from .bounds import certify_program
-    from .fft.ape import build_ape_fft_program, check_spectrum, parallel_fft_ape
-    from .sim.task import build_topology, run_routing_task
-
-    if workload == "ape-fft":
-        import numpy as np
-
-        topology = build_topology(topology_name, n)
-        rng = np.random.default_rng(seed + n)
-        samples = rng.standard_normal(n)
-        result = parallel_fft_ape(topology, samples)
-        check_spectrum(result.spectrum, samples, f"{topology_name} n={n}")
-        cert = certify_program(
-            topology,
-            build_ape_fft_program(topology),
-            result.data_transfer_steps,
-            label=f"ape-fft/{topology_name}/n={n}",
-        )
-        return {
-            "steps": result.data_transfer_steps,
-            "bound": cert.bound,
-            "bound_ratio": cert.ratio,
-            "bound_kind": cert.binding,
-        }
-    if workload in ("systolic", "hyper-systolic"):
-        payload = run_commavoiding_task(
-            {"topology": topology_name, "n": n, "method": workload, "seed": seed}
-        )
-        return {
-            "steps": payload["steps"],
-            "bound": payload["bound"],
-            "bound_ratio": payload["bound_ratio"],
-            "bound_kind": "superstep-sum",
-        }
-    payload = run_routing_task(
-        {
-            "topology": topology_name,
-            "n": n,
-            "workload": workload,
-            "seed": seed,
-            "certify": True,
-        }
-    )
-    return {
-        "steps": payload["steps"],
-        "bound": payload["bound"],
-        "bound_ratio": payload["bound_ratio"],
-        "bound_kind": payload["bound_kind"],
-    }
-
-
-def _cmd_certify(args: argparse.Namespace) -> int:
-    """Certified-bounds sweep: achieved steps vs their analytic floors.
-
-    Every (topology, n, workload) cell is routed (or, for the staged
-    workloads, executed on the SIMD machine) and its measured step count
-    certified against the :mod:`repro.bounds` floor.  A cell that
-    undercuts its floor prints a ``VIOLATION`` row, an APE FFT cell with a
-    wrong spectrum prints a ``SpectrumMismatch`` row, and either makes the
-    command exit 1 — this is CI's cert-gate.  Unknown names exit 2 with
-    the message on stderr, like every other invalid argument.
-    """
-    from .bounds import BoundViolation
-    from .fft.ape import SpectrumMismatch
-    from .sim.task import TOPOLOGY_BUILDERS, WORKLOAD_BUILDERS
-    from .viz.series import format_table
-
-    known_workloads = sorted(WORKLOAD_BUILDERS) + list(CERTIFY_STAGED_WORKLOADS)
-    for topology_name in args.topologies:
-        if topology_name not in TOPOLOGY_BUILDERS:
-            print(
-                f"error: unknown topology {topology_name!r}; known: "
-                f"{sorted(TOPOLOGY_BUILDERS)}",
-                file=sys.stderr,
-            )
-            return 2
-    for workload in args.workloads:
-        if workload not in known_workloads:
-            print(
-                f"error: unknown workload {workload!r}; known: "
-                f"{known_workloads}",
-                file=sys.stderr,
-            )
-            return 2
-
-    rows = []
-    violations = 0
-    mismatches = []
-    for topology_name in args.topologies:
-        for n in args.sizes:
-            for workload in args.workloads:
-                try:
-                    cell = _certify_cell(topology_name, n, workload, args.seed)
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-                except BoundViolation as exc:
-                    violations += 1
-                    cert = exc.certificate
-                    rows.append(
-                        [topology_name, n, workload, cert.achieved,
-                         cert.bound, "-", "VIOLATION"]
-                    )
-                    continue
-                except SpectrumMismatch as exc:
-                    mismatches.append(str(exc))
-                    rows.append(
-                        [topology_name, n, workload, "-", "-", "-",
-                         type(exc).__name__]
-                    )
-                    continue
-                ratio = cell["bound_ratio"]
-                rows.append(
-                    [topology_name, n, workload, cell["steps"], cell["bound"],
-                     "-" if ratio is None else f"{ratio:.2f}",
-                     cell["bound_kind"]]
-                )
-    print(f"certified-bounds sweep  seed={args.seed}")
-    print(format_table(
-        ["topology", "n", "workload", "achieved", "bound", "ratio", "binding"],
-        rows,
-    ))
-    for message in mismatches:
-        print(f"error: SpectrumMismatch: {message}", file=sys.stderr)
-    if violations:
-        print(
-            f"error: {violations} cell(s) undercut their analytic floor",
-            file=sys.stderr,
-        )
-    if violations or mismatches:
-        return 1
-    print("every cell holds: achieved >= bound")
     return 0
 
 
@@ -820,8 +635,6 @@ def _cmd_paper(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (exposed for tests)."""
-    from .sim.task import TOPOLOGY_BUILDERS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the tables and figures of Szymanski (ICPP 1992).",
@@ -920,10 +733,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="result-store root directory")
     pc.add_argument("--force", action="store_true",
                     help="re-execute tasks even when a stored success exists")
-    pc.add_argument("--resume", action="store_true",
-                    help="resume an interrupted run (the default; spelled "
-                         "out for scripts that want to be explicit)")
     pc.set_defaults(func=_cmd_campaign_run)
+    # The campaign verbs below are this command on one built-in campaign,
+    # re-executed every time: a gate never passes on a stale success.
+    run_parser = pc
 
     pc = campaign_sub.add_parser("status", help="completed / failed / pending")
     pc.add_argument("name")
@@ -940,6 +753,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = campaign_sub.add_parser("list", help="list built-in campaigns")
     pc.set_defaults(func=_cmd_campaign_list)
+
+    for verb, campaign in CAMPAIGN_VERBS.items():
+        p = sub.add_parser(
+            verb, help=f"run the {campaign} campaign (= campaign run "
+            f"{campaign} --force)"
+        )
+        p.set_defaults(**{**vars(run_parser.parse_args([campaign])),
+                          "force": True})
 
     p = sub.add_parser(
         "trace",
@@ -995,60 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--trace-out", default=None,
                     help="also export the counters as JSONL counter events")
     pp.set_defaults(func=_cmd_plans_stats)
-
-    p = sub.add_parser(
-        "faults",
-        help="degraded-mode sweep: routing cost vs failed links/nets",
-        description=(
-            "Route one seeded workload through a topology with a growing "
-            "seeded fraction of its links failed (degraded nets for the "
-            "hypermesh) and tabulate steps, delivered, dropped, and "
-            "retried per fraction.  See docs/FAULTS.md."
-        ),
-    )
-    p.add_argument("--topology", default="mesh2d",
-                   help="mesh2d / torus2d / hypercube / hypermesh2d")
-    p.add_argument("--n", type=int, default=64, help="node count")
-    p.add_argument("--workload", default="dense-permutation",
-                   help="dense-permutation / bit-reversal / sparse-hrelation")
-    p.add_argument("--seed", type=int, default=99, help="workload seed")
-    p.add_argument("--fault-seed", type=int, default=99,
-                   help="seed for the sampled link-failure sets")
-    p.add_argument("--fractions", type=float, nargs="+",
-                   default=[0.0, 0.05, 0.1, 0.2, 0.3],
-                   help="link-failure fractions to sweep (point-to-point)")
-    p.add_argument("--max-degraded-nets", type=int, default=3,
-                   help="sweep 0..K degraded nets (hypermesh only)")
-    p.add_argument("--drop-prob", type=float, default=0.0,
-                   help="per-transmission intermittent drop probability")
-    p.add_argument("--retry-limit", type=int, default=None,
-                   help="failed transmissions before a packet is dropped")
-    p.set_defaults(func=_cmd_faults)
-
-    p = sub.add_parser(
-        "certify",
-        help="certified-bounds sweep: achieved steps vs analytic floors",
-        description=(
-            "Run every (topology, n, workload) cell and certify its "
-            "measured step count against the repro.bounds analytic lower "
-            "bound (bisection / distance / ports / work, and the "
-            "superstep-sum for staged workloads).  Exits 1 on any "
-            "achieved < bound cell.  See docs/BOUNDS.md."
-        ),
-    )
-    p.add_argument("--topologies", nargs="+",
-                   default=list(TOPOLOGY_BUILDERS),
-                   help="topology grid (default: all four families)")
-    p.add_argument("--sizes", type=int, nargs="+", default=[16, 64],
-                   help="node counts (square powers of two fit every family)")
-    p.add_argument("--workloads", nargs="+",
-                   default=["dense-permutation", "bit-reversal",
-                            "sparse-hrelation", "systolic", "hyper-systolic",
-                            "ape-fft"],
-                   help="routed workloads (repro.sim.task) and staged ones "
-                        "(systolic / hyper-systolic / ape-fft)")
-    p.add_argument("--seed", type=int, default=99, help="workload seed")
-    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser(
         "serve",

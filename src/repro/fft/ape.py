@@ -166,9 +166,10 @@ class ApeFftResult:
 
 
 class SpectrumMismatch(AssertionError):
-    """A four-step FFT whose spectrum differs from ``numpy.fft.fft`` of
-    its input: its step count certifies nothing.  Raised explicitly, so
-    the check survives ``python -O``."""
+    """A parallel FFT (the four-step one here, or ``repro fft``'s
+    radix-2 one) whose spectrum differs from ``numpy.fft.fft`` of its
+    input: its step count certifies nothing.  Raised explicitly, so the
+    check survives ``python -O``."""
 
 
 def check_spectrum(
@@ -177,9 +178,7 @@ def check_spectrum(
     """Raise :class:`SpectrumMismatch` naming ``label`` unless
     ``spectrum`` is ``numpy.fft.fft(samples)`` (to ``np.allclose``)."""
     if not np.allclose(spectrum, np.fft.fft(samples)):
-        raise SpectrumMismatch(
-            f"four-step FFT diverged from numpy.fft.fft on {label}"
-        )
+        raise SpectrumMismatch(f"FFT diverged from numpy.fft.fft on {label}")
 
 
 def parallel_fft_ape(
@@ -248,5 +247,6 @@ def run_ape_fft_task(params: dict) -> dict:
         "verified": 1,
         "bound": cert.bound,
         "bound_ratio": cert.ratio,
+        "bound_kind": cert.binding,
         "certified": cert.holds,
     }

@@ -29,8 +29,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from ..campaign.builtins import staged_tasks
 from ..campaign.spec import TaskSpec
-from ..sim.task import TOPOLOGY_BUILDERS
+from ..sim.task import PAPER_TOPOLOGIES, TOPOLOGY_BUILDERS
 
 __all__ = [
     "SECTION_SCHEMA_VERSION",
@@ -513,9 +514,6 @@ def _compute_shapes(profile: PaperProfile) -> SectionArtifacts:
 # -- grid sections: tasks are existing campaign entry points ----------------
 
 
-_ROUTED_TOPOLOGIES = ("mesh2d", "hypercube", "hypermesh2d")
-
-
 def _routed_tasks(profile: PaperProfile) -> tuple[TaskSpec, ...]:
     return tuple(
         TaskSpec(
@@ -530,7 +528,7 @@ def _routed_tasks(profile: PaperProfile) -> tuple[TaskSpec, ...]:
             },
             label=f"routed-{topology}-n{profile.routed_n}",
         )
-        for topology in _ROUTED_TOPOLOGIES
+        for topology in PAPER_TOPOLOGIES
     )
 
 
@@ -553,30 +551,11 @@ def _routed_assemble(
 
 
 def _comm_avoiding_tasks(profile: PaperProfile) -> tuple[TaskSpec, ...]:
-    n = profile.routed_n
-    tasks = []
-    for topology in TOPOLOGY_BUILDERS:
-        for method in ("systolic", "hyper-systolic"):
-            tasks.append(
-                TaskSpec(
-                    entry="repro.algos.hypersystolic:run_commavoiding_task",
-                    params={
-                        "topology": topology,
-                        "n": n,
-                        "method": method,
-                        "seed": 99,
-                    },
-                    label=f"{method}-{topology}-n{n}",
-                )
-            )
-        tasks.append(
-            TaskSpec(
-                entry="repro.fft.ape:run_ape_fft_task",
-                params={"topology": topology, "n": n, "seed": 99},
-                label=f"ape-fft-{topology}-n{n}",
-            )
-        )
-    return tuple(tasks)
+    return tuple(
+        task
+        for topology in TOPOLOGY_BUILDERS
+        for task in staged_tasks(topology, profile.routed_n)
+    )
 
 
 def _comm_avoiding_assemble(

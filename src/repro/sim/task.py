@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 __all__ = [
+    "PAPER_TOPOLOGIES",
     "TOPOLOGY_BUILDERS",
     "WORKLOAD_BUILDERS",
     "build_topology",
@@ -64,6 +65,9 @@ TOPOLOGY_BUILDERS = {
     "hypercube": _hypercube,
     "hypermesh2d": _hypermesh2d,
 }
+
+#: The paper's three networks, in the order its tables list them.
+PAPER_TOPOLOGIES = ("mesh2d", "hypercube", "hypermesh2d")
 
 
 def build_topology(name: str, n: int):

@@ -384,25 +384,28 @@ class TestPerturbedBoundFailsTheGate:
         with pytest.raises(BoundViolation):
             run_ape_fft_task({"topology": "hypermesh2d", "n": 16, "seed": 99})
 
-    def test_cli_certify_exits_1_with_violation(self, inflated_bound, capsys):
-        rc = main(
-            ["certify", "--topologies", "mesh2d", "--sizes", "16",
-             "--workloads", "bit-reversal"]
-        )
-        assert rc == 1
+    def test_cli_certify_exits_1_with_violation(
+        self, inflated_bound, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # the campaign store is cwd-relative
+        assert main(["certify"]) == 1
         captured = capsys.readouterr()
-        assert "VIOLATION" in captured.out
+        assert "0/48 ok, 48 failed" in captured.out
         assert captured.err.startswith("error:")
+        assert "-- bit-reversal-mesh2d-n16 [exception] --" in captured.err
+        assert "BoundViolation" in captured.err
 
     @pytest.mark.parametrize("workload", ["systolic", "hyper-systolic", "ape-fft"])
     def test_cli_certify_staged_workload_exits_1(
-        self, inflated_bound, capsys, workload
+        self, inflated_bound, capsys, tmp_path, monkeypatch, workload
     ):
-        rc = main(
-            ["certify", "--topologies", "mesh2d", "--sizes", "16",
-             "--workloads", workload]
-        )
-        assert rc == 1
+        monkeypatch.chdir(tmp_path)
+        assert main(["certify"]) == 1
         captured = capsys.readouterr()
-        assert "VIOLATION" in captured.out
+        [row] = [line for line in captured.out.splitlines()
+                 if line.startswith(f"{workload}-mesh2d-n16 ")
+                 and "FAILED" in line]
+        assert "FAILED(exception)" in row
         assert captured.err.startswith("error:")
+        trace = captured.err.split(f"-- {workload}-mesh2d-n16 [exception] --")[1]
+        assert "BoundViolation" in trace.split("\n-- ")[0]

@@ -64,6 +64,10 @@ class TestExecution:
             run_campaign(echo_campaign(), workers=0)
         with pytest.raises(ValueError):
             run_campaign(echo_campaign(), retries=-1)
+        # A budget every task overruns is refused, not run to all-timeouts.
+        for timeout in (0, -1.0):
+            with pytest.raises(ValueError, match="task_timeout must be > 0"):
+                run_campaign(echo_campaign(), task_timeout=timeout)
 
     def test_serial_progress_follows_spec_order(self):
         seen = []

@@ -95,6 +95,44 @@ class TestBuiltins:
         assert len(spec) == 30
         assert not any("backend" in t.params for t in spec.tasks)
 
+    def test_certify_grid_is_48_cells_in_row_order(self):
+        """Every topology x N {16, 64} x (3 routed + 3 staged workloads),
+        seed 99, in the row order of the certification table."""
+        from repro.campaign import builtin_campaign
+        from repro.sim.task import TOPOLOGY_BUILDERS
+
+        spec = builtin_campaign("certify")
+        workloads = ("dense-permutation", "bit-reversal", "sparse-hrelation",
+                     "systolic", "hyper-systolic", "ape-fft")
+        assert [t.label for t in spec.tasks] == [
+            f"{workload}-{topology}-n{n}"
+            for topology in TOPOLOGY_BUILDERS
+            for n in (16, 64)
+            for workload in workloads
+        ]
+        assert len(spec) == 48
+        assert all(t.params["seed"] == 99 for t in spec.tasks)
+        routed = [t for t in spec.tasks
+                  if t.entry == "repro.sim.task:run_routing_task"]
+        assert len(routed) == 24 and all(t.params["certify"] for t in routed)
+        assert spec.meta["columns"] == [
+            "steps", "bound", "bound_ratio", "bound_kind"
+        ]
+
+    def test_staged_cells_come_from_one_helper(self):
+        """comm-avoiding and the paper's comm-avoiding section expand the
+        same staged_tasks cells the certify campaign does."""
+        from repro.campaign import builtin_campaign
+        from repro.campaign.builtins import staged_tasks
+        from repro.paper import paper_campaign
+
+        certify = {t.task_hash for t in builtin_campaign("certify").tasks}
+        assert {t.task_hash for t in staged_tasks("torus2d", 64)} <= certify
+        comm = builtin_campaign("comm-avoiding").tasks
+        assert comm[:3] == staged_tasks("mesh2d", 64)
+        paper = {t.task_hash for t in paper_campaign("smoke").tasks}
+        assert {t.task_hash for t in staged_tasks("hypercube", 64)} <= paper
+
     def test_routing_task_rejects_a_backend_param(self):
         """A spec from before the engine had one core names the core it
         wanted; the task refuses it rather than silently ignoring it."""

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import PAPER_VERBS, build_parser, main
+from repro.cli import CAMPAIGN_VERBS, PAPER_VERBS, build_parser, main
 
 GOLDEN_ROOT = Path(__file__).resolve().parents[1] / "results" / "paper" / "golden"
 
@@ -33,6 +33,22 @@ class TestParser:
         for args in (alias, paper):
             args.pop("command")
         assert alias == {**paper, "print_artifacts": True}
+
+    @pytest.mark.parametrize("verb", sorted(CAMPAIGN_VERBS))
+    def test_each_campaign_verb_is_its_campaign_run_alias(self, verb):
+        """A campaign verb is `campaign run <built-in> --force`: no option
+        of its own, every other setting the `campaign run` default."""
+        parser = build_parser()
+        alias = vars(parser.parse_args([verb]))
+        run = vars(parser.parse_args(
+            ["campaign", "run", CAMPAIGN_VERBS[verb], "--force"]
+        ))
+        alias.pop("command")
+        for key in ("command", "campaign_command"):
+            run.pop(key)
+        assert alias == run
+        with pytest.raises(SystemExit):
+            parser.parse_args([verb, "--sizes", "16"])
 
 
 class TestCommands:
@@ -83,14 +99,55 @@ class TestCommands:
         assert "no n x n crossbar" in out and "bit-reversal" in out
 
     def test_fft(self, capsys):
-        main(["fft", "--side", "4"])
+        assert main(["fft", "--side", "4"]) == 0
         out = capsys.readouterr().out
         assert out.count("numpy-agreement=True") == 3
 
+    def test_fft_wrong_spectrum_exits_1(self, capsys, monkeypatch):
+        import dataclasses
+
+        from repro.fft import parallel
+
+        real = parallel.parallel_fft
+
+        def wrong(topology, x, **kwargs):
+            result = real(topology, x, **kwargs)
+            if type(topology).__name__ != "Hypercube":
+                return result
+            return dataclasses.replace(result, spectrum=result.spectrum + 1)
+
+        monkeypatch.setattr(parallel, "parallel_fft", wrong)
+        assert main(["fft", "--side", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("numpy-agreement=True") == 2
+        assert "Hypercube   : numpy-agreement=False" in captured.out
+        assert captured.err.startswith("error: SpectrumMismatch:")
+        assert "Hypercube n=16" in captured.err
+
     def test_sort(self, capsys):
-        main(["sort", "--side", "4"])
+        assert main(["sort", "--side", "4"]) == 0
         out = capsys.readouterr().out
         assert out.count("sorted=True") == 3
+
+    def test_unsorted_network_exits_1(self, capsys, monkeypatch):
+        import dataclasses
+
+        from repro.sort import bitonic
+
+        real = bitonic.parallel_bitonic_sort
+
+        def unsorted(topology, keys, **kwargs):
+            result = real(topology, keys, **kwargs)
+            if type(topology).__name__ != "Mesh2D":
+                return result
+            return dataclasses.replace(result, keys=result.keys[::-1])
+
+        monkeypatch.setattr(bitonic, "parallel_bitonic_sort", unsorted)
+        assert main(["sort", "--side", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "Mesh2D      : sorted=False" in captured.out
+        assert captured.out.count("sorted=True") == 2
+        assert captured.err.startswith("error:") and "Mesh2D" in captured.err
 
     def test_omega(self, capsys):
         assert main(["omega"]) == 0
@@ -401,6 +458,52 @@ class TestCampaignCommands:
         assert "2/3 ok" in captured.out
         assert "smoke-boom" in captured.err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "0", "workers must be >= 1"),
+        ("--retries", "-1", "retries must be >= 0"),
+        ("--timeout", "0", "task_timeout must be > 0 seconds"),
+        ("--timeout", "-1", "task_timeout must be > 0 seconds"),
+    ])
+    def test_run_rejects_an_out_of_range_setting(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        rc = main(["campaign", "run", "engine-sweep-small", flag, value,
+                   "--store", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "engine-sweep-small" / "manifest.jsonl").exists()
+
+    def test_run_prints_the_spec_columns_per_task(self, tmp_path, capsys):
+        from repro.campaign import CampaignSpec, TaskSpec
+
+        spec = CampaignSpec(
+            "columns",
+            (
+                TaskSpec("repro.sim.task:run_routing_task",
+                         {"topology": "mesh2d", "n": 16,
+                          "workload": "bit-reversal", "certify": True},
+                         label="route"),
+                TaskSpec("repro.campaign.testing:failing_task",
+                         {"message": "boom"}, label="boom"),
+            ),
+            meta={"columns": ["steps", "bound_ratio", "absent"]},
+        )
+        path = spec.save(tmp_path / "spec.json")
+        rc = main(["campaign", "run", str(path), "--retries", "0",
+                   "--store", str(tmp_path / "store")])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index(next(
+            l for l in lines
+            if l.split() == ["task", "steps", "bound_ratio", "absent"]
+        ))
+        # Floats print to two decimals; a missing key or a failed task "-".
+        assert [l.split() for l in lines[start + 2:start + 4]] == [
+            ["route", "6", "1.00", "-"], ["boom", "-", "-", "-"]
+        ]
+
     def test_run_unknown_campaign(self, capsys):
         assert main(["campaign", "run", "no-such-campaign"]) == 2
         assert "unknown campaign" in capsys.readouterr().err
@@ -475,36 +578,71 @@ class TestPlansCommands:
 
 
 class TestFaultsCommand:
+    """``repro faults`` is ``campaign run chaos-sweep --force``: the
+    degraded-mode grid, with partitioned cells as data, not failures."""
+
+    @pytest.fixture(autouse=True)
+    def _isolated_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def _row(out: str, label: str) -> list[str]:
+        [line] = [l for l in out.splitlines() if l.split()[:1] == [label]
+                  and "OK" not in l.split()]
+        return line.split(maxsplit=6)
+
     def test_point_to_point_sweep_prints_cliff(self, capsys):
-        rc = main(
-            ["faults", "--topology", "mesh2d", "--n", "16",
-             "--fractions", "0", "0.3"]
-        )
-        assert rc == 0
+        assert main(["faults"]) == 0
         out = capsys.readouterr().out
-        assert "links failed" in out
-        # The 0.3 row partitions this 4x4 mesh under the default fault
-        # seed: the cliff is reported as data, not as a crash.
-        assert "unroutable" in out
-        assert "partition the network" in out
+        assert "30/30 ok" in out
+        # The mesh2d-n64 column is the old default `repro faults` table.
+        for frac, steps in (("0.0", "13"), ("0.05", "13"), ("0.1", "13"),
+                            ("0.2", "14")):
+            row = self._row(out, f"mesh2d-n64-frac{frac}")
+            assert row[1:3] == [steps, "64"]
+        # 20 % of a 16x16 mesh's links down partitions it under the fixed
+        # fault seed: the cliff is reported as data, not as a crash.
+        row = self._row(out, "mesh2d-n256-frac0.2")
+        assert row[1:6] == ["-", "-", "-", "-", "1"]
+        assert "partition the network" in row[6]
 
     def test_hypermesh_sweeps_degraded_nets(self, capsys):
-        rc = main(
-            ["faults", "--topology", "hypermesh2d", "--n", "16",
-             "--max-degraded-nets", "1"]
-        )
-        assert rc == 0
+        assert main(["faults"]) == 0
         out = capsys.readouterr().out
-        assert "nets degraded" in out
+        for degraded in range(3):
+            row = self._row(out, f"hypermesh2d-n64-degraded{degraded}")
+            assert row[2] == "64"  # every packet delivered
+        # Serializing a net costs steps.
+        assert int(self._row(out, "hypermesh2d-n64-degraded1")[1]) > int(
+            self._row(out, "hypermesh2d-n64-degraded0")[1]
+        )
 
-    def test_drop_prob_column_reports_retries(self, capsys):
-        rc = main(
-            ["faults", "--topology", "mesh2d", "--n", "16",
-             "--fractions", "0", "--drop-prob", "0.5"]
+    def test_drop_prob_column_reports_retries(self, tmp_path, capsys):
+        """A custom fault grid is a spec-JSON file; meta["columns"] picks
+        the payload keys its table shows."""
+        from repro.campaign import CampaignSpec, TaskSpec
+
+        spec = CampaignSpec(
+            "drop-sweep",
+            tuple(
+                TaskSpec(
+                    "repro.sim.task:run_routing_task",
+                    {"topology": "mesh2d", "n": 16,
+                     "workload": "dense-permutation", "seed": 99,
+                     "fault": {"seed": 99, "drop_prob": 0.5, **limit}},
+                    label=f"drop-{i}",
+                )
+                for i, limit in enumerate(({}, {"retry_limit": 1}))
+            ),
+            meta={"columns": ["delivered", "dropped", "retried"]},
         )
-        assert rc == 0
+        path = spec.save(tmp_path / "drop-sweep.json")
+        assert main(["campaign", "run", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "drop-prob=0.5" in out
+        rows = {l.split()[0]: l.split()[1:] for l in out.splitlines()
+                if l.startswith("drop-") and "OK" not in l}
+        assert int(rows["drop-0"][2]) > 0  # retries happened
+        assert int(rows["drop-1"][1]) > 0  # retry_limit=1 drops packets
 
     def test_stats_column_width_fits_fault_bypassed(self, capsys):
         assert main(["plans", "stats"]) == 0
@@ -513,50 +651,40 @@ class TestFaultsCommand:
         # (fault_bypassed) must not run into its value.
         assert "fault_bypassed: " in out
 
-    def test_unknown_workload_exits_2(self, capsys):
-        rc = main(["faults", "--topology", "mesh2d", "--n", "16",
-                   "--workload", "storm"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "storm" in err
-
-    def test_invalid_node_count_exits_2(self, capsys):
-        rc = main(["faults", "--topology", "mesh2d", "--n", "7"])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_invalid_drop_prob_exits_2(self, capsys):
-        rc = main(["faults", "--topology", "mesh2d", "--n", "16",
-                   "--drop-prob", "1.5"])
-        assert rc == 2
-        assert "drop_prob" in capsys.readouterr().err
-
-    def test_more_degraded_nets_than_the_machine_has_exits_2(self, capsys):
-        # Hypermesh2D(4) has 8 nets; the sweep's last row degrades 9.
-        rc = main(["faults", "--topology", "hypermesh2d", "--n", "16",
-                   "--max-degraded-nets", "9"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "net 8" in err
-
 
 class TestCertifyCommand:
+    """``repro certify`` is ``campaign run certify --force``: 48 cells,
+    each certified against its repro.bounds floor (CI's cert-gate)."""
+
+    @pytest.fixture(autouse=True)
+    def _isolated_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def _payload_rows(out: str) -> dict[str, list[str]]:
+        lines = out.splitlines()
+        start = lines.index(next(
+            l for l in lines
+            if l.split() == ["task", "steps", "bound", "bound_ratio",
+                             "bound_kind"]
+        ))
+        return {l.split()[0]: l.split()[1:] for l in lines[start + 2:start + 50]}
+
     def test_small_sweep_certifies_every_cell(self, capsys):
-        rc = main(
-            ["certify", "--topologies", "mesh2d", "hypermesh2d",
-             "--sizes", "16", "--workloads", "bit-reversal", "ape-fft"]
-        )
-        assert rc == 0
+        assert main(["certify"]) == 0
         out = capsys.readouterr().out
-        assert "every cell holds" in out
-        assert "VIOLATION" not in out
-        # One row per (topology, workload) cell, each with its floor.
-        assert out.count("bit-reversal") == 2
-        assert out.count("ape-fft") == 2
+        assert "48/48 ok" in out
+        rows = self._payload_rows(out)
+        assert len(rows) == 48
+        for steps, bound, ratio, kind in rows.values():
+            assert int(steps) >= int(bound)
+            assert float(ratio) >= 1.0 and kind != "-"
+        assert rows["bit-reversal-torus2d-n16"] == ["4", "3", "1.33", "distance"]
 
     def test_wrong_spectrum_fails_the_cell(self, capsys, monkeypatch):
         """A wrong APE FFT spectrum is a failing cell named by its error
-        and exit 1 — a raised check, which ``python -O`` keeps."""
+        and exit 1 — a raised check, which ``python -O`` keeps.  The
+        campaign's workers fork, so they inherit the patch."""
         import dataclasses
 
         from repro.fft import ape
@@ -568,43 +696,21 @@ class TestCertifyCommand:
             return dataclasses.replace(result, spectrum=result.spectrum + 1)
 
         monkeypatch.setattr(ape, "parallel_fft_ape", wrong)
-        rc = main(
-            ["certify", "--topologies", "mesh2d", "--sizes", "16",
-             "--workloads", "bit-reversal", "ape-fft"]
-        )
-        assert rc == 1
+        assert main(["certify"]) == 1
         captured = capsys.readouterr()
-        assert "every cell holds" not in captured.out
-        [row] = [l for l in captured.out.splitlines() if "ape-fft" in l]
-        assert "SpectrumMismatch" in row
+        assert "40/48 ok, 8 failed" in captured.out
+        rows = self._payload_rows(captured.out)
+        assert rows["ape-fft-mesh2d-n16"] == ["-", "-", "-", "-"]
+        assert rows["bit-reversal-mesh2d-n16"][3] == "distance"
+        assert captured.err.startswith("error:")
+        assert "-- ape-fft-mesh2d-n16 [exception] --" in captured.err
         assert "SpectrumMismatch" in captured.err
         assert "mesh2d n=16" in captured.err
 
     def test_staged_workloads_certify(self, capsys):
-        rc = main(
-            ["certify", "--topologies", "torus2d", "--sizes", "16",
-             "--workloads", "systolic", "hyper-systolic"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "superstep-sum" in out
-
-    def test_unknown_topology_exits_2(self, capsys):
-        rc = main(["certify", "--topologies", "klein-bottle",
-                   "--sizes", "16"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "klein-bottle" in err
-
-    def test_unknown_workload_exits_2(self, capsys):
-        rc = main(["certify", "--topologies", "mesh2d", "--sizes", "16",
-                   "--workloads", "storm"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "storm" in err
-
-    def test_invalid_size_exits_2(self, capsys):
-        rc = main(["certify", "--topologies", "mesh2d", "--sizes", "7",
-                   "--workloads", "bit-reversal"])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert main(["certify"]) == 0
+        rows = self._payload_rows(capsys.readouterr().out)
+        staged = [row for label, row in rows.items()
+                  if label.startswith(("systolic", "hyper-systolic", "ape-fft"))]
+        assert len(staged) == 24
+        assert {row[3] for row in staged} == {"superstep-sum"}
